@@ -8,7 +8,6 @@ from .games.base import (
     RidgedGame,
     UnsupportedCaseError,
     estimate_mean_operator,
-    project,
 )
 from .report import RunReport
 from .rng import RandomStream
@@ -23,5 +22,4 @@ __all__ = [
     "RunReport",
     "UnsupportedCaseError",
     "estimate_mean_operator",
-    "project",
 ]

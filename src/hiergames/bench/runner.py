@@ -1,6 +1,6 @@
 """Experiment executor: sweep x seeds -> trajectory rows and aggregates.
 
-Each run derives its randomness as (root seed, sweep index, seed value), so
+Each run derives its randomness as (root seed, sweep key, seed value), so
 a whole experiment is reproducible from the CLI seed alone and independent
 runs can execute on a worker pool; results are keyed and sorted so the
 output never depends on scheduling order.
@@ -13,20 +13,18 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from ..games.base import GameOracle, NumericError
-from ..games.bilevel import BilevelGame, BilevelParams, direct_equilibrium
-from ..games.cournot import ConstrainedMlmfCournotGame, MlmfCournotGame, MlmfParams
+from ..games.bilevel import direct_equilibrium
 from ..report import RunReport
-from ..residuals import ResidualConfig, br_residual, yosida_residual
+from ..residuals import BrResidualConfig, br_residual, yosida_residual
 from ..rng import RandomStream
 from ..solvers import sg, vr_spp
-from ..solvers.smoothing import ArspbrConfig, SmoothingParams, arspbr_run
-from ..solvers.vr_spp import SampleSchedule, VrSppConfig
-from .spec import ExperimentSpec, SpecValidationError
+from ..solvers.smoothing import arspbr_run
+from ..solvers.vr_spp import VrSppConfig
+from .spec import ExperimentSpec, RunPlan, SpecValidationError, build_game, build_run
 
 CSV_COLUMNS = ("sweep_key", "seed", "iter", "residual", "residual_stderr", "samples_cum", "wall_ms")
 
@@ -56,36 +54,6 @@ class AggregateRow:
     mean_equilibrium_distance: float  # NaN unless an exact equilibrium exists
 
 
-def build_game(game_cfg: dict[str, Any], stream: RandomStream) -> GameOracle:
-    family = game_cfg["family"]
-    if family in ("mlmf", "mlmf-constrained"):
-        params = MlmfParams.sample(
-            n_leaders=game_cfg["n_leaders"],
-            n_followers=game_cfg["n_followers"],
-            demand_slope=game_cfg["demand_slope"],
-            a_range=tuple(game_cfg["a_range"]),
-            leader_cost_range=tuple(game_cfg["leader_cost_range"]),
-            follower_cost=game_cfg["follower_cost"],
-            stream=stream,
-            caps=game_cfg.get("cap"),
-            constraint_noise_halfwidth=game_cfg.get("constraint_noise_halfwidth", 1.0),
-        )
-        if family == "mlmf-constrained":
-            return ConstrainedMlmfCournotGame(params)
-        return MlmfCournotGame(params)
-    params = BilevelParams.sample(
-        n_players=game_cfg["n_players"],
-        stream=stream,
-        curvature_range=tuple(game_cfg.get("curvature_range", (0.0, 100.0))),
-        lower_quad=game_cfg.get("lower_quad", 3.0),
-        lower_slope_range=tuple(game_cfg.get("lower_slope_range", (0.0, 3.0))),
-        bound_slope_range=tuple(game_cfg.get("bound_slope_range", (0.0, 1.0))),
-        a_range=tuple(game_cfg["a_range"]),
-        coincident=game_cfg.get("coincident", False),
-    )
-    return BilevelGame(params)
-
-
 def _draw_x0(game: GameOracle, spec: ExperimentSpec, stream: RandomStream) -> np.ndarray:
     family = spec.game["family"]
     if family == "mlmf-constrained":
@@ -95,120 +63,50 @@ def _draw_x0(game: GameOracle, spec: ExperimentSpec, stream: RandomStream) -> np
     return stream.uniform(0.0, 1.0, game.layout.total_dim)
 
 
-def _build_smoothing(cfg: dict[str, Any]) -> SmoothingParams:
-    rule = cfg.get("steps_rule", "log-growth")
-    return SmoothingParams(
-        eta=cfg.get("eta", 0.1),
-        prox_weight=cfg.get("prox_weight", 1.0),
-        zeta=cfg.get("zeta", 0.01),
-        batch_base=cfg.get("batch_base", 1.5),
-        steps_rule=rule if rule == "log-growth" else int(rule),
-    )
+def _residual_hook(plan: RunPlan, eval_root: RandomStream):
+    game, cfg, total_iters = plan.game, plan.residual, plan.iters
+    if isinstance(cfg, BrResidualConfig):
+        smoothing = plan.smoothing
+        steps = smoothing.inner_steps(max(total_iters, 1)) + cfg.extra_steps
+        eval_zeta = cfg.eval_zeta_scale * smoothing.zeta
 
+        def measure(k: int, x: np.ndarray):
+            return br_residual(game, smoothing, x, steps, eval_root.derive(k), eval_zeta=eval_zeta), 0.0
+    else:
+        def measure(k: int, x: np.ndarray):
+            return yosida_residual(game, x, cfg, eval_root.derive(k))
 
-def _residual_hook(spec: ExperimentSpec, game, smoothing, eval_root: RandomStream, total_iters: int):
-    cfg = spec.residual
-    cadence = cfg.get("cadence", "final")
+    def hook(k: int, x: np.ndarray):
+        final = k == total_iters
+        due = final if plan.cadence == "final" else final or k % plan.cadence == 0
+        return measure(k, x) if due else None
 
-    def due(k: int) -> bool:
-        if cadence == "final":
-            return k == total_iters
-        return k % int(cadence) == 0 or k == total_iters
-
-    if cfg.get("kind", "yosida") == "br":
-        extra = int(cfg.get("extra_steps", 8))
-        zeta_scale = float(cfg.get("eval_zeta_scale", 0.2))
-
-        def hook_br(k: int, x: np.ndarray):
-            if not due(k):
-                return None
-            steps = smoothing.inner_steps(max(total_iters, 1)) + extra
-            value = br_residual(
-                game, smoothing, x, steps, eval_root.derive(k),
-                eval_zeta=zeta_scale * smoothing.zeta,
-            )
-            return value, 0.0
-
-        return hook_br
-
-    rc = ResidualConfig(
-        lam=cfg.get("lam", 0.1),
-        theta=cfg.get("theta", 0.1),
-        inner_steps=cfg.get("inner_steps", 10_000),
-        samples_per_step=cfg.get("samples_per_step", 1),
-        repeats=cfg.get("repeats", 5),
-    )
-
-    def hook_yosida(k: int, x: np.ndarray):
-        if not due(k):
-            return None
-        return yosida_residual(game, x, rc, eval_root.derive(k))
-
-    return hook_yosida
+    return hook
 
 
 def run_single(spec: ExperimentSpec, sweep_key: str, seed: int, root_seed: int) -> tuple[list[RunRow], RunReport, float]:
     """One (sweep point, seed) run; returns rows, the report, and the
     distance to the exact equilibrium when one is available (else NaN).
 
-    Instance parameters derive from the sweep point alone, so the seed list
-    averages algorithmic randomness over one fixed game per sweep point.
+    Instance parameters derive from the sweep key of a ``game.*`` sweep and
+    from the spec name otherwise, so the seed list averages algorithmic
+    randomness over one fixed game, and points of a solver, budget or
+    residual sweep compare on that same game.
     """
-    sweep_stream = RandomStream(root_seed).derive(sweep_key)
-    game = build_game(spec.game, sweep_stream.derive(_L_PARAMS))
-    run_stream = sweep_stream.derive(seed)
+    root = RandomStream(root_seed)
+    instance_key = sweep_key if sweep_key.startswith("game.") else spec.name
+    plan = build_run(spec, root.derive(instance_key).derive(_L_PARAMS), build_game)
+    game, config = plan.game, plan.solver
+    run_stream = root.derive(sweep_key).derive(seed)
     x0 = _draw_x0(game, spec, run_stream.derive(_L_X0))
-
-    solver_cfg = spec.solver
-    kind = solver_cfg["kind"]
-    budget = spec.budget
-    smoothing = _build_smoothing(solver_cfg.get("smoothing", {})) if kind == "arspbr" else None
-
-    if kind == "vr-spp":
-        outer = budget.get("outer_iters")
-        if outer is None:
-            outer = _vrspp_iters_for_samples(solver_cfg, budget["max_samples"])
-        config = VrSppConfig(
-            lam=solver_cfg["lam"],
-            theta=solver_cfg["theta"],
-            schedule=SampleSchedule(
-                kind=solver_cfg["schedule"]["kind"],
-                param=solver_cfg["schedule"]["param"],
-                cap=solver_cfg["schedule"].get("cap", 1_000_000),
-            ),
-            outer_iters=outer,
-            min_inner_steps=solver_cfg.get("min_inner_steps", 10),
-            growing_min_steps=solver_cfg.get("growing_min_steps", False),
-            max_samples=budget.get("max_samples"),
-        )
-        hook = _residual_hook(spec, game, smoothing, run_stream.derive(_L_EVAL), config.outer_iters)
-        report = vr_spp.run(game, config, x0, run_stream.derive(_L_SOLVE), hook)
-    elif kind == "sg":
-        iters = budget.get("total_iters", budget.get("max_samples", budget.get("outer_iters")))
-        config = sg.SgConfig(
-            alpha0=solver_cfg["alpha0"],
-            total_iters=iters,
-            record_every=solver_cfg.get("record_every", max(1, iters // 100 or 1)),
-        )
-        hook = _residual_hook(spec, game, smoothing, run_stream.derive(_L_EVAL), iters)
-        report = sg.run(game, config, x0, run_stream.derive(_L_SOLVE), hook)
+    hook = _residual_hook(plan, run_stream.derive(_L_EVAL))
+    solve_stream = run_stream.derive(_L_SOLVE)
+    if isinstance(config, VrSppConfig):
+        report = vr_spp.run(game, config, x0, solve_stream, hook)
+    elif isinstance(config, sg.SgConfig):
+        report = sg.run(game, config, x0, solve_stream, hook)
     else:
-        outer = budget.get("outer_iters", budget.get("total_iters"))
-        if outer is None:
-            # Sample-budget-only runs: iterate until the cutoff trips.
-            outer = 10**9
-        gammas = solver_cfg.get("gammas")
-        config = ArspbrConfig(
-            outer_iters=outer,
-            relaxation=solver_cfg.get("relaxation", "constant"),
-            gamma=solver_cfg.get("gamma", 1.0),
-            exponent=solver_cfg.get("exponent", 0.51),
-            gammas=tuple(gammas) if gammas else None,
-            record_every=solver_cfg.get("record_every", max(1, outer // 50 or 1)),
-            max_samples=budget.get("max_samples"),
-        )
-        hook = _residual_hook(spec, game, smoothing, run_stream.derive(_L_EVAL), outer)
-        report = arspbr_run(game, smoothing, config, x0, run_stream.derive(_L_SOLVE), hook)
+        report = arspbr_run(game, plan.smoothing, config, x0, solve_stream, hook)
 
     eq_dist = float("nan")
     if spec.game["family"] == "bilevel" and spec.game.get("coincident", False):
@@ -216,33 +114,8 @@ def run_single(spec: ExperimentSpec, sweep_key: str, seed: int, root_seed: int) 
         eq_dist = float(np.linalg.norm(report.final_iterate - star))
 
     lookup = dict(zip(report.recorded_iters, zip(report.samples_used, report.wall_ms)))
-    rows = [
-        RunRow(
-            sweep_key=sweep_key,
-            seed=seed,
-            iter=k,
-            residual=val,
-            residual_stderr=err,
-            samples_cum=lookup[k][0],
-            wall_ms=lookup[k][1],
-        )
-        for (k, val, err) in report.residuals
-    ]
+    rows = [RunRow(sweep_key, seed, k, val, err, *lookup[k]) for (k, val, err) in report.residuals]
     return rows, report, eq_dist
-
-
-def _vrspp_iters_for_samples(solver_cfg: dict[str, Any], max_samples: int) -> int:
-    sched = SampleSchedule(
-        kind=solver_cfg["schedule"]["kind"],
-        param=solver_cfg["schedule"]["param"],
-        cap=solver_cfg["schedule"].get("cap", 1_000_000),
-    )
-    floor = solver_cfg.get("min_inner_steps", 10)
-    total, k = 0, 0
-    while total < max_samples:
-        total += max(floor, sched.size(k))
-        k += 1
-    return k
 
 
 def _run_job(args) -> tuple[int, int, list[RunRow], float, RunReport | None]:
@@ -299,19 +172,22 @@ def run_experiment(
             walls.append(rows[-1].wall_ms)
             totals.append(report.total_samples if report is not None else 0)
             eqs.append(eq)
-        finals_arr = np.asarray(finals)
-        aggregates.append(
-            AggregateRow(
-                sweep_key=key,
-                n_seeds=len(spec.seeds),
-                mean_final_residual=float(finals_arr.mean()),
-                residual_std=float(finals_arr.std(ddof=1)) if len(finals) > 1 else 0.0,
-                mean_wall_ms=float(np.mean(walls)),
-                mean_samples=float(np.mean(totals)),
-                mean_equilibrium_distance=float(np.mean(eqs)),
-            )
-        )
+        aggregates.append(_aggregate(key, finals, walls, totals, eqs))
     return aggregates, all_rows, reports
+
+
+def _aggregate(key: str, finals: list, walls: list, samples: list, eq_dists: list) -> AggregateRow:
+    """Means over the seeds of one sweep point."""
+    res = np.asarray(finals)
+    return AggregateRow(
+        sweep_key=key,
+        n_seeds=len(finals),
+        mean_final_residual=float(res.mean()),
+        residual_std=float(res.std(ddof=1)) if len(finals) > 1 else 0.0,
+        mean_wall_ms=float(np.mean(walls)),
+        mean_samples=float(np.mean(samples)),
+        mean_equilibrium_distance=float(np.mean(eq_dists)),
+    )
 
 
 def emit_csv(rows: list[RunRow], path: str | Path) -> None:
@@ -375,18 +251,8 @@ def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
     out = []
     for key in order:
         rows_k = list(finals[key].values())
-        res = np.asarray([r.residual for r in rows_k])
-        out.append(
-            AggregateRow(
-                sweep_key=key,
-                n_seeds=len(rows_k),
-                mean_final_residual=float(res.mean()),
-                residual_std=float(res.std(ddof=1)) if len(rows_k) > 1 else 0.0,
-                mean_wall_ms=float(np.mean([r.wall_ms for r in rows_k])),
-                mean_samples=float(np.mean([r.samples_cum for r in rows_k])),
-                mean_equilibrium_distance=float("nan"),
-            )
-        )
+        out.append(_aggregate(key, [r.residual for r in rows_k], [r.wall_ms for r in rows_k],
+                              [r.samples_cum for r in rows_k], [float("nan")]))
     return out
 
 

@@ -1,4 +1,4 @@
-from .base import FeasibleSet, GameOracle, PlayerLayout, RidgedGame, estimate_mean_operator, project
+from .base import FeasibleSet, GameOracle, PlayerLayout, RidgedGame, estimate_mean_operator
 from .bilevel import BilevelGame, BilevelParams, direct_equilibrium, lower_level_solution
 from .cournot import (
     ConstrainedMlmfCournotGame,
@@ -25,5 +25,4 @@ __all__ = [
     "estimate_mean_operator",
     "follower_equilibrium",
     "lower_level_solution",
-    "project",
 ]

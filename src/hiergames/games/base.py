@@ -122,10 +122,6 @@ class FeasibleSet:
         return FeasibleSet(self.lo[sl], self.hi[sl])
 
 
-def project(feasible: FeasibleSet, x: np.ndarray) -> np.ndarray:
-    return feasible.project(x)
-
-
 class GameOracle:
     """Interface contract; see module docstring.
 

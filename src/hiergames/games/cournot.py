@@ -20,7 +20,7 @@ on the nonnegative orthant of dimension 2N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,13 +88,6 @@ class MlmfParams:
             follower_costs=np.full(n_followers, float(follower_cost)),
             caps=None if caps is None else np.full(n_leaders, float(caps)),
             constraint_noise_halfwidth=constraint_noise_halfwidth,
-        )
-
-    def with_caps(self, cap: float, halfwidth: float = 1.0) -> "MlmfParams":
-        return replace(
-            self,
-            caps=np.full(self.n_leaders, float(cap)),
-            constraint_noise_halfwidth=halfwidth,
         )
 
 
@@ -295,10 +288,6 @@ class ConstrainedMlmfCournotGame(GameOracle):
     def constraint_sample_batch(self, i, x_i, count, stream) -> np.ndarray:
         w = self._draw_w(stream, count)
         return float(x_i) - self.params.caps[i] + w
-
-    def constraint_gradient_apply(self, i, x_i, vec):
-        """Matrix-free transpose-gradient apply; the gradient is one."""
-        return np.asarray(vec, dtype=float)
 
     def objective_sample(self, i, z, stream):
         n = self.params.n_leaders

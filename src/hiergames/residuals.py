@@ -40,14 +40,31 @@ class ResidualConfig:
     repeats: int = 5
 
     def __post_init__(self):
-        if self.lam <= 0 or self.theta <= 0:
-            raise ValueError("lam and theta must be positive")
+        for name in ("lam", "theta"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.inner_steps < 1:
             raise ValueError("inner_steps must be >= 1")
         if self.samples_per_step < 1:
             raise ValueError("samples_per_step must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+
+
+@dataclass(frozen=True)
+class BrResidualConfig:
+    """Budget of the best-response residual relative to the solver's: the
+    solver's inner step count at the final iteration plus ``extra_steps``,
+    at ``eval_zeta_scale`` times its steplength (see :func:`br_residual`)."""
+
+    extra_steps: int = 8
+    eval_zeta_scale: float = 0.2
+
+    def __post_init__(self):
+        if self.extra_steps < 0:
+            raise ValueError("extra_steps must be >= 0")
+        if self.eval_zeta_scale <= 0:
+            raise ValueError("eval_zeta_scale must be positive")
 
 
 def _corrected_norm(x: np.ndarray, estimates: np.ndarray, lam: float) -> float:

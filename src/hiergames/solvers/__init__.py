@@ -1,7 +1,7 @@
 from . import sg, smoothing, vr_spp
 from .sg import SgConfig
 from .smoothing import ArspbrConfig, SmoothingParams, arspbr_run, zo_gradient_batch, zsol_solve
-from .vr_spp import SampleSchedule, VrSppConfig, inner_resolvent, sample_schedule
+from .vr_spp import SampleSchedule, VrSppConfig, inner_resolvent
 
 __all__ = [
     "ArspbrConfig",
@@ -11,7 +11,6 @@ __all__ = [
     "VrSppConfig",
     "arspbr_run",
     "inner_resolvent",
-    "sample_schedule",
     "sg",
     "smoothing",
     "vr_spp",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +48,7 @@ def run(
     if not game.feasible.contains(x):
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
-    t0 = time.perf_counter()
-
-    def note(k: int) -> None:
-        report.record(k, x, k, (time.perf_counter() - t0) * 1e3)
-        if residual_hook is not None:
-            res = residual_hook(k, x)
-            if res is not None:
-                report.residuals.append((k, float(res[0]), float(res[1])))
-
-    note(0)
+    report.note(0, x, 0, residual_hook)
     alpha0 = config.alpha0
     project = game.feasible.project
     sample = game.operator_sample
@@ -68,6 +58,6 @@ def run(
         if not math.isfinite(x.sum()):
             raise NumericError(f"subgradient iterate became non-finite at step {k}")
         if k % config.record_every == 0 or k == config.total_iters:
-            note(k)
+            report.note(k, x, k, residual_hook)
     report.validate()
     return report

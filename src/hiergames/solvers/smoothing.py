@@ -20,7 +20,6 @@ player per step, relaxed by gamma_k.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +38,15 @@ class SmoothingParams:
     steps_rule: str | int = "log-growth"  # T_k = ceil(log k^1.5), or a fixed int
 
     def __post_init__(self):
-        if self.eta <= 0 or self.prox_weight <= 0 or self.zeta <= 0:
-            raise ValueError("eta, prox_weight and zeta must be positive")
+        for name in ("eta", "prox_weight", "zeta"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.batch_base <= 1:
             raise ValueError("batch_base must exceed 1")
         if isinstance(self.steps_rule, str) and self.steps_rule != "log-growth":
             raise ValueError("steps_rule must be 'log-growth' or an integer")
         if isinstance(self.steps_rule, int) and self.steps_rule < 1:
-            raise ValueError("fixed steps_rule must be >= 1")
+            raise ValueError("steps_rule must be >= 1 when fixed")
 
     def inner_batch(self, t: int) -> int:
         return int(math.ceil(self.batch_base ** (t + 1)))
@@ -60,47 +60,27 @@ class SmoothingParams:
 @dataclass(frozen=True)
 class ArspbrConfig:
     outer_iters: int
-    relaxation: str = "constant"   # "constant", "power" (k^-exponent), or "custom"
+    relaxation: str = "constant"   # "constant" or "power" (k^-exponent)
     gamma: float = 1.0
     exponent: float = 0.51
-    gammas: tuple[float, ...] | None = None  # custom sequence; last value repeats
-    player_probs: tuple[float, ...] | None = None  # default uniform
     record_every: int = 1
-    max_samples: int | None = None
 
     def __post_init__(self):
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be >= 0")
-        if self.relaxation not in ("constant", "power", "custom"):
-            raise ValueError("relaxation must be 'constant', 'power' or 'custom'")
+        if self.relaxation not in ("constant", "power"):
+            raise ValueError("relaxation must be 'constant' or 'power'")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
         if self.exponent <= 0:
             raise ValueError("exponent must be positive")
-        if self.relaxation == "custom":
-            if not self.gammas or any(not 0 < g <= 1 for g in self.gammas):
-                raise ValueError("custom relaxation needs gammas in (0, 1]")
-        if self.player_probs is not None:
-            p = np.asarray(self.player_probs, dtype=float)
-            if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
-                raise ValueError("player_probs must be positive and sum to one")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
     def gamma_at(self, k: int) -> float:
         if self.relaxation == "constant":
             return self.gamma
-        if self.relaxation == "custom":
-            return self.gammas[min(k, len(self.gammas)) - 1]
         return min(1.0, float(k) ** -self.exponent)
-
-    def probs(self, n_players: int) -> np.ndarray:
-        if self.player_probs is None:
-            return np.full(n_players, 1.0 / n_players)
-        p = np.asarray(self.player_probs, dtype=float)
-        if p.size != n_players:
-            raise ValueError("player_probs length must match the player count")
-        return p
 
 
 def zsol_contraction_factor(strong_convexity: float, smoothness: float, zeta: float) -> float:
@@ -225,19 +205,11 @@ def arspbr_run(
     x = np.asarray(x0, dtype=float).copy()
     if not game.feasible.contains(x):
         raise ValueError("x0 must lie in the feasible set")
-    probs = config.probs(game.layout.n_players)
+    n_players = game.layout.n_players
+    probs = np.full(n_players, 1.0 / n_players)
     report = RunReport()
     samples = 0
-    t0 = time.perf_counter()
-
-    def note(k: int) -> None:
-        report.record(k, x, samples, (time.perf_counter() - t0) * 1e3)
-        if residual_hook is not None:
-            res = residual_hook(k, x)
-            if res is not None:
-                report.residuals.append((k, float(res[0]), float(res[1])))
-
-    note(0)
+    report.note(0, x, samples, residual_hook)
     for k in range(1, config.outer_iters + 1):
         i_k = stream.choice_index(probs)
         sl = game.layout.slice_of(i_k)
@@ -249,10 +221,6 @@ def arspbr_run(
         x[sl] = (1.0 - gamma) * x[sl] + gamma * best
         samples += evals
         if k % config.record_every == 0 or k == config.outer_iters:
-            note(k)
-        if config.max_samples is not None and samples >= config.max_samples:
-            if k % config.record_every != 0 and k != config.outer_iters:
-                note(k)
-            break
+            report.note(k, x, samples, residual_hook)
     report.validate()
     return report

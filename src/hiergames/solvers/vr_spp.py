@@ -14,7 +14,6 @@ what restores a deterministic outer rate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,13 @@ class SampleSchedule:
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if self.kind == "polynomial" and not self.param > 1:
-            raise ValueError("polynomial schedule needs exponent a > 1")
+            raise ValueError("param must exceed 1: the polynomial schedule needs exponent a > 1")
         if self.kind == "geometric" and not 0 < self.param < 1:
-            raise ValueError("geometric schedule needs 0 < rho < 1")
+            raise ValueError("param must lie in (0, 1): the geometric schedule needs 0 < rho < 1")
         if self.kind == "geometric-base" and not self.param > 1:
-            raise ValueError("geometric-base schedule needs base > 1")
+            raise ValueError("param must exceed 1: the geometric-base schedule needs base > 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
 
@@ -78,9 +77,9 @@ class VrSppConfig:
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("prox parameter lam must be positive")
+            raise ValueError("lam must be positive")
         if self.theta <= 0:
-            raise ValueError("inner steplength scale theta must be positive")
+            raise ValueError("theta must be positive")
         if self.outer_iters < 0:
             raise ValueError("outer_iters must be >= 0")
         if self.min_inner_steps < 1:
@@ -91,11 +90,6 @@ class VrSppConfig:
         if self.growing_min_steps:
             floor = int(math.ceil(self.min_inner_steps * math.sqrt(k + 1)))
         return max(floor, self.schedule.size(k))
-
-
-def sample_schedule(config: VrSppConfig, k: int) -> int:
-    """Scheduled inner sample count N_k (before the minimum-steps floor)."""
-    return config.schedule.size(k)
 
 
 def inner_resolvent(
@@ -150,16 +144,7 @@ def run(
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
     samples = 0
-    t0 = time.perf_counter()
-
-    def note(k: int) -> None:
-        report.record(k, x, samples, (time.perf_counter() - t0) * 1e3)
-        if residual_hook is not None:
-            res = residual_hook(k, x)
-            if res is not None:
-                report.residuals.append((k, float(res[0]), float(res[1])))
-
-    note(0)
+    report.note(0, x, samples, residual_hook)
     for k in range(config.outer_iters):
         n_steps = config.inner_steps(k)
         try:
@@ -167,7 +152,7 @@ def run(
         except NumericError as err:
             raise NumericError(f"outer iteration {k}: {err}") from err
         samples += n_steps
-        note(k + 1)
+        report.note(k + 1, x, samples, residual_hook)
         if config.max_samples is not None and samples >= config.max_samples:
             break
     report.validate()

@@ -1,9 +1,15 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hiergames.bench.cli import main
 from hiergames.bench.runner import (
@@ -45,6 +51,19 @@ def tiny_spec(**overrides):
             "repeats": 2,
             "cadence": "final",
         },
+    }
+    spec.update(copy.deepcopy(overrides))
+    return spec
+
+
+def tiny_arspbr_spec(**overrides):
+    spec = {
+        "name": "tiny-arspbr",
+        "game": {"family": "bilevel", "n_players": 3, "lower_quad": 3.0, "a_range": [33.0, 37.0]},
+        "solver": {"kind": "arspbr", "smoothing": {"eta": 0.1, "zeta": 0.01}, "record_every": 2},
+        "budget": {"outer_iters": 5},
+        "seeds": [0, 1],
+        "residual": {"kind": "br", "extra_steps": 2, "eval_zeta_scale": 0.2, "cadence": "final"},
     }
     spec.update(copy.deepcopy(overrides))
     return spec
@@ -152,7 +171,8 @@ def test_sweep_applies_values_and_budgets():
     assert finals["game.n_leaders=4"] == 3
 
 
-def test_instance_is_shared_across_seeds_within_sweep_point():
+def test_instance_is_shared_across_seeds_within_sweep_point(monkeypatch):
+    from hiergames.bench import runner
     from hiergames.bench.runner import build_game
     from hiergames.bench.spec import spec_from_dict as parse
     from hiergames import RandomStream
@@ -162,6 +182,20 @@ def test_instance_is_shared_across_seeds_within_sweep_point():
     g1 = build_game(spec.game, sweep_stream.derive("params"))
     g2 = build_game(spec.game, sweep_stream.derive("params"))
     assert np.array_equal(g1.params.leader_costs, g2.params.leader_costs)
+
+    # A sweep over anything but the game compares its points on one instance.
+    games = []
+
+    def capture(game_cfg, stream):
+        games.append(build_game(game_cfg, stream))
+        return games[-1]
+
+    monkeypatch.setattr(runner, "build_game", capture)
+    spec = parse(tiny_arspbr_spec(sweep={"path": "solver.relaxation", "values": ["constant", "power"]}))
+    run_experiment(spec, root_seed=9)
+    assert len(games) == 4
+    for game in games[1:]:
+        assert np.array_equal(game.params.curvature, games[0].params.curvature)
 
 
 def test_cli_validate_and_run(tmp_path, capsys):
@@ -209,6 +243,19 @@ def test_bundled_specs_validate():
         problems = validate_spec(json.loads(path.read_text()))
         assert not problems, f"{path.name}: {problems}"
 
+    # The benchmark's workload specs must pass the same validator.
+    import importlib.util
+
+    bench_file = spec_dir.parent / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", bench_file)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, pairs in workloads.WORKLOADS.items():
+        for label, spec in pairs:
+            problems = validate_spec(spec)
+            assert not problems, f"{name}/{label}: {problems}"
+
 
 def test_sweep_path_head_is_validated():
     bad = tiny_spec(sweep={"path": "universe.n", "values": [1]})
@@ -247,3 +294,94 @@ def test_numeric_failure_marks_row_and_exit_code(tmp_path):
     assert code == 2
     rows = read_csv_rows(tmp_path / "o" / "runs.csv")
     assert any(np.isnan(r.residual) and r.iter == -1 for r in rows)
+
+
+# ------------------------------------------------------- spec -> run contract
+
+SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
+
+
+def _mutated(spec, path, value):
+    spec = copy.deepcopy(spec)
+    *parents, last = path.split(".")
+    node = spec
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return spec
+
+
+def _cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# The six specs the validator accepted before it built the configs: four then
+# crashed `run` with a traceback, two ran with a field ignored or misread.
+REJECTED_SPECS = [
+    ("mlmf_rate_polynomial.json", "solver.schedule.kind", "bogus", "solver.schedule.kind:"),
+    ("mlmf_rate_polynomial.json", "residual.kind", "br", "residual.kind:"),
+    ("mlmf_rate_polynomial.json", "residual.repeats", 0, "residual.repeats:"),
+    ("mlmf_rate_polynomial.json", "solver.lamm", 0.1, "solver.lamm:"),
+    ("bilevel_eta_sweep.json", "game.lower_quad", 0, "game.lower_quad:"),
+    ("mlmf_sg.json", "budget", {"max_samples": 100}, "budget.max_samples:"),
+]
+
+
+@pytest.mark.parametrize("file,path,value,needle", REJECTED_SPECS)
+def test_validate_rejects_what_run_cannot_execute(tmp_path, file, path, value, needle):
+    spec = _mutated(json.loads((SPEC_DIR / file).read_text()), path, value)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, err = _cli(["validate", "--spec", str(spec_path)])
+    assert code == 1 and needle in err and "Traceback" not in err, err
+    code, err = _cli(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert code == 1 and needle in err and "Traceback" not in err, err
+
+
+def _paths(node, prefix=""):
+    """Every key path of a spec, plus one unknown key in every object."""
+    out = [f"{prefix}unknown_key"]
+    for key, value in node.items():
+        out.append(prefix + key)
+        if isinstance(value, dict):
+            out += _paths(value, f"{prefix}{key}.")
+    return out
+
+
+TINY_YOSIDA = dict(tiny_spec()["residual"], inner_steps=50)
+TINY_SPECS = {
+    "vr-spp": tiny_spec(seeds=[0], residual=TINY_YOSIDA),
+    "sg": tiny_spec(
+        solver={"kind": "sg", "alpha0": 0.1, "record_every": 2},
+        budget={"total_iters": 5},
+        seeds=[0],
+        residual=TINY_YOSIDA,
+    ),
+    "arspbr": tiny_arspbr_spec(seeds=[0]),
+}
+MUTATIONS = [(kind, path) for kind, spec in TINY_SPECS.items() for path in _paths(spec)]
+VALUE_POOL = [-1, 0, 0.5, 2, "text", None, "bogus"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS), value=st.sampled_from(VALUE_POOL))
+@example(mutation=("vr-spp", "solver.schedule.kind"), value="bogus")
+@example(mutation=("vr-spp", "residual.kind"), value="br")
+@example(mutation=("vr-spp", "residual.repeats"), value=0)
+@example(mutation=("vr-spp", "solver.lamm"), value=0.1)
+@example(mutation=("arspbr", "game.lower_quad"), value=0)
+@example(mutation=("sg", "budget"), value={"max_samples": 100})
+def test_validated_specs_run_without_traceback(mutation, value):
+    kind, path = mutation
+    spec = _mutated(TINY_SPECS[kind], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        if validate_spec(spec):
+            assert _cli(["validate", "--spec", str(spec_path)])[0] == 1
+        else:
+            code, err = _cli(["run", "--spec", str(spec_path), "--out", tmp, "--seed", "3"])
+            assert code in (0, 2) and "Traceback" not in err, err

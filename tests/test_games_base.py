@@ -10,7 +10,6 @@ from hiergames import (
     RandomStream,
     RidgedGame,
     estimate_mean_operator,
-    project,
 )
 from hiergames.games.bilevel import BilevelGame
 from hiergames.games.cournot import MlmfCournotGame
@@ -29,24 +28,24 @@ def test_layout_slices():
 
 def test_project_nonneg_clamps():
     fs = FeasibleSet.nonneg(2)
-    assert np.array_equal(project(fs, np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert np.array_equal(fs.project(np.array([-1.0, 2.0])), [0.0, 2.0])
 
 
 def test_project_free_is_identity():
     fs = FeasibleSet.free(3)
     x = np.array([-4.0, 0.0, 9.5])
-    assert np.array_equal(project(fs, x), x)
+    assert np.array_equal(fs.project(x), x)
 
 
 def test_project_box_clamps():
     fs = FeasibleSet.box([0.0, 0.0], [5.0, 5.0])
-    assert np.array_equal(project(fs, np.array([7.0, -3.0])), [5.0, 0.0])
+    assert np.array_equal(fs.project(np.array([7.0, -3.0])), [5.0, 0.0])
 
 
 def test_project_rejects_nan():
     fs = FeasibleSet.nonneg(2)
     with pytest.raises(NumericError):
-        project(fs, np.array([np.nan, 1.0]))
+        fs.project(np.array([np.nan, 1.0]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -306,9 +306,3 @@ def test_potential_descent_trend(stream):
         allowance = 3.0 * np.hypot(se0, se1)
         assert m1 <= m0 + allowance, f"potential rose between {k0} and {k1}"
 
-
-def test_custom_relaxation_sequence():
-    cfg = ArspbrConfig(outer_iters=5, relaxation="custom", gammas=(1.0, 0.5, 0.25))
-    assert [cfg.gamma_at(k) for k in (1, 2, 3, 7)] == [1.0, 0.5, 0.25, 0.25]
-    with pytest.raises(ValueError):
-        ArspbrConfig(outer_iters=5, relaxation="custom", gammas=(1.5,))

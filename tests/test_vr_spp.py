@@ -8,7 +8,6 @@ from hiergames.solvers.vr_spp import (
     VrSppConfig,
     inner_resolvent,
     run,
-    sample_schedule,
 )
 
 from conftest import LinearToy, make_mlmf_params
@@ -52,7 +51,7 @@ def test_schedule_validation():
 
 def test_sample_schedule_op():
     cfg = config(SampleSchedule("geometric-base", 1.1))
-    assert sample_schedule(cfg, 0) == 1
+    assert cfg.schedule.size(0) == 1
     assert cfg.inner_steps(0) == 10  # min_inner_steps floor applies
 
 
