@@ -96,6 +96,9 @@ def cmd_tables(args) -> int:
     except SpecValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as err:
+        print(f"runtime error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -120,7 +123,10 @@ def cmd_plotdata(args) -> int:
                 lines += [f"{r.iter} {r.residual:.17g} {r.samples_cum}" for r in rs]
                 target.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote plot data to {out_dir}")
-    except (SpecValidationError, OSError) as err:
+    except SpecValidationError as err:
+        print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

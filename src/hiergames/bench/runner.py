@@ -218,22 +218,31 @@ def _fmt(v: float) -> str:
 
 
 def read_csv_rows(path: str | Path) -> list[RunRow]:
+    """Parse a ``runs.csv``; a malformed header or row is a
+    :class:`SpecValidationError` naming the file and line."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise SpecValidationError([f"{path}: unexpected columns {reader.fieldnames}"])
-        return [
-            RunRow(
-                sweep_key=row["sweep_key"],
-                seed=int(row["seed"]),
-                iter=int(row["iter"]),
-                residual=float(row["residual"]),
-                residual_stderr=float(row["residual_stderr"]),
-                samples_cum=int(row["samples_cum"]),
-                wall_ms=float(row["wall_ms"]),
-            )
-            for row in reader
-        ]
+        rows = []
+        try:
+            if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+                raise ValueError(f"unexpected columns {reader.fieldnames}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields")
+                rows.append(
+                    RunRow(
+                        sweep_key=row["sweep_key"],
+                        seed=int(row["seed"]),
+                        iter=int(row["iter"]),
+                        residual=float(row["residual"]),
+                        residual_stderr=float(row["residual_stderr"]),
+                        samples_cum=int(row["samples_cum"]),
+                        wall_ms=float(row["wall_ms"]),
+                    )
+                )
+        except (csv.Error, ValueError) as err:
+            raise SpecValidationError([f"{path}, line {reader.line_num}: {err}"]) from None
+        return rows
 
 
 def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:

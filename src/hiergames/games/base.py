@@ -1,14 +1,17 @@
 """Game abstraction consumed by every solver.
 
 A game instance exposes its player layout, a coordinate-separable feasible
-set, and sampled oracles: ``operator_sample`` returns one realization of the
-concatenated per-player subgradient map at a joint strategy (the follower
-problem is solved internally), ``objective_sample`` returns one realization
-of a player's implicit objective.  Normal-cone elements of the feasible set
-are never materialized in samples; solvers realize them by projecting.
-Implementations must be immutable after construction and pure given
-(x, stream state): repeating a call with a cloned stream reproduces the
-sample bitwise.
+set, and sampled oracles.  The operator is sampled through one noise-explicit
+primitive: ``operator_noise`` draws the noise of a block of samples and
+``operator_rows`` evaluates the concatenated per-player subgradient map (the
+follower problem is solved internally) row-wise under given noise, so
+callers that pass the same noise array share it (common random numbers) and
+callers that draw a block up front replay the draws of sample-at-a-time use.
+``objective_sample`` returns one realization of a player's implicit
+objective.  Normal-cone elements of the feasible set are never materialized
+in samples; solvers realize them by projecting.  Implementations must be
+immutable after construction and pure given (x, stream state): repeating a
+call with a cloned stream reproduces the sample bitwise.
 """
 
 from __future__ import annotations
@@ -125,21 +128,39 @@ class FeasibleSet:
 class GameOracle:
     """Interface contract; see module docstring.
 
-    Subclasses set ``layout`` and ``feasible`` and implement the scalar
-    sample methods.  The ``*_batch`` variants evaluate at a fixed point (or
-    fixed rivals) under many independent noise realizations; the default
-    implementations loop, concrete games override them with vectorized
-    versions since they sit in every solver's measurement path.
+    Subclasses set ``layout`` and ``feasible`` and implement the operator
+    primitive (``operator_noise``, ``operator_rows``) and the objective
+    sample methods; they may override ``operator_sample`` with a scalar fast
+    path that draws and computes exactly what a batch of one does.  The
+    objective ``*_batch`` variants evaluate at fixed rivals under many
+    independent noise realizations; the default implementations loop.
     """
 
     layout: PlayerLayout
     feasible: FeasibleSet
 
-    def operator_sample(self, x: np.ndarray, stream: RandomStream) -> np.ndarray:
+    def operator_noise(self, stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
+        """Noise of ``shape`` operator samples, as an array of shape
+        ``shape + event`` (``event`` is game-specific, possibly empty).
+
+        The last axis of ``shape`` holds the samples of one step; a draw of
+        shape ``(C, S)`` equals ``C`` consecutive draws of shape ``(S,)``.
+        """
         raise NotImplementedError
 
+    def operator_rows(self, z: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Operator realizations at points ``z`` (shape ``(..., dim)``) under
+        ``noise`` from :meth:`operator_noise`; the leading axes of ``z``
+        broadcast against those of ``noise`` and the result has shape
+        ``broadcast + (dim,)``."""
+        raise NotImplementedError
+
+    def operator_sample(self, x: np.ndarray, stream: RandomStream) -> np.ndarray:
+        return self.operator_rows(np.asarray(x, dtype=float), self.operator_noise(stream, (1,)))[0]
+
     def operator_sample_batch(self, x: np.ndarray, count: int, stream: RandomStream) -> np.ndarray:
-        return np.stack([self.operator_sample(x, stream) for _ in range(count)])
+        """``count`` operator realizations at ``x``, shape ``(count, dim)``."""
+        return self.operator_rows(np.asarray(x, dtype=float), self.operator_noise(stream, (count,)))
 
     def objective_sample(self, i: int, x: np.ndarray, stream: RandomStream) -> float:
         raise NotImplementedError
@@ -206,8 +227,11 @@ class RidgedGame(GameOracle):
     def operator_sample(self, x, stream):
         return self.base.operator_sample(x, stream) + self.mu * np.asarray(x, float)
 
-    def operator_sample_batch(self, x, count, stream):
-        return self.base.operator_sample_batch(x, count, stream) + self.mu * np.asarray(x, float)
+    def operator_noise(self, stream, shape):
+        return self.base.operator_noise(stream, shape)
+
+    def operator_rows(self, z, noise):
+        return self.base.operator_rows(z, noise) + self.mu * z
 
     def objective_sample(self, i, x, stream):
         sl = self.layout.slice_of(i)

@@ -137,20 +137,17 @@ class BilevelGame(GameOracle):
         p = self.params
         x = np.asarray(x, dtype=float)
         a = stream.generator.uniform(p.a_lo, p.a_hi, p.n_players)
-        return self.operator_value(x, a)
+        return self.operator_rows(x, a)
 
-    def operator_value(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def operator_noise(self, stream, shape):
+        """One intercept per player per sample: shape ``shape + (n,)``."""
+        p = self.params
+        return stream.uniform(p.a_lo, p.a_hi, (*shape, p.n_players))
+
+    def operator_rows(self, z, noise):
         p = self.params
         w = INTERACTION_WEIGHT
-        return (p.curvature + w) * x + w * x.sum() + a * _lower_slopes(p, x)
-
-    def operator_sample_batch(self, x, count, stream):
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream, count)
-        p = self.params
-        w = INTERACTION_WEIGHT
-        base = (p.curvature + w) * x + w * x.sum()
-        return base + a * _lower_slopes(p, x)
+        return (p.curvature + w) * z + w * z.sum(axis=-1, keepdims=True) + noise * _lower_slopes(p, z)
 
     def objective_sample(self, i, x, stream):
         x = np.asarray(x, dtype=float)

@@ -135,18 +135,6 @@ def follower_complementarity(params: MlmfParams, sol: FollowerSolution, X: float
     return float(np.max(np.abs(np.minimum(sol.y, f))))
 
 
-def _follower_batch(params: MlmfParams, X, a):
-    """Vectorized (price, dY/dX) for arrays of aggregates and intercepts."""
-    b = params.demand_slope
-    s = float((1.0 / (params.follower_costs + b)).sum())
-    shrink = -b * s / (1.0 + b * s)
-    margin = np.asarray(a, float) - b * np.asarray(X, float)
-    active = margin > 0.0
-    price = np.where(active, margin / (1.0 + b * s), margin)
-    dY = np.where(margin >= 0.0, shrink, 0.0)
-    return price, dY
-
-
 class MlmfCournotGame(GameOracle):
     """Leader-level oracle for the unconstrained market (feasible set R_+^N)."""
 
@@ -169,7 +157,8 @@ class MlmfCournotGame(GameOracle):
         return self.operator_value(np.asarray(x, dtype=float), a)
 
     def operator_value(self, x: np.ndarray, a: float) -> np.ndarray:
-        """Operator realization at a fixed intercept (noise-free evaluation)."""
+        """Operator realization at a fixed intercept (noise-free evaluation);
+        the scalar form of :meth:`operator_rows`, bitwise equal to it."""
         p = self.params
         b = p.demand_slope
         margin = a - b * x.sum()
@@ -181,15 +170,22 @@ class MlmfCournotGame(GameOracle):
             shrink = self._shrink if margin == 0.0 else 0.0
         return (p.leader_costs + (1.0 + shrink) * b) * x - price
 
-    def operator_sample_batch(self, x, count, stream):
-        p = self.params
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream, count)
-        X = float(np.sum(x))
-        price, dY = _follower_batch(p, np.full(count, X), a)
-        # Same association as the scalar path so a 1-batch is bitwise equal.
-        coef = p.leader_costs + (1.0 + dY)[:, None] * p.demand_slope
-        return coef * x - price[:, None]
+    def _price(self, X, a):
+        """Row-wise (price, dY/dX) at leader aggregates X and intercepts a."""
+        b = self.params.demand_slope
+        margin = a - b * X
+        price = np.where(margin > 0.0, margin / (1.0 + b * self._wsum), margin)
+        return price, np.where(margin >= 0.0, self._shrink, 0.0)
+
+    def operator_noise(self, stream, shape):
+        """One demand intercept per sample: an array of shape ``shape``."""
+        return self._draw_a(stream, shape)
+
+    def operator_rows(self, z, noise):
+        price, dY = self._price(z.sum(axis=-1), noise)
+        # Same association as operator_value, so the two are bitwise equal.
+        coef = self.params.leader_costs + (1.0 + dY)[..., None] * self.params.demand_slope
+        return coef * z - price[..., None]
 
     def objective_sample(self, i, x, stream):
         x = np.asarray(x, dtype=float)
@@ -206,7 +202,7 @@ class MlmfCournotGame(GameOracle):
         p = self.params
         rivals = float(np.sum(x)) - float(x[i])
         a = self._draw_a(stream, own.size)
-        price, _ = _follower_batch(p, rivals + own, a)
+        price, _ = self._price(rivals + own, a)
         return -price * own + 0.5 * p.leader_costs[i] * own**2
 
     def objective_pair_sample_batch(self, i, own_a, own_b, x, stream):
@@ -216,8 +212,8 @@ class MlmfCournotGame(GameOracle):
         p = self.params
         rivals = float(np.sum(x)) - float(x[i])
         a = self._draw_a(stream, own_a.size)
-        price_a, _ = _follower_batch(p, rivals + own_a, a)
-        price_b, _ = _follower_batch(p, rivals + own_b, a)
+        price_a, _ = self._price(rivals + own_a, a)
+        price_b, _ = self._price(rivals + own_b, a)
         fa = -price_a * own_a + 0.5 * p.leader_costs[i] * own_a**2
         fb = -price_b * own_b + 0.5 * p.leader_costs[i] * own_b**2
         return fa, fb
@@ -271,14 +267,27 @@ class ConstrainedMlmfCournotGame(GameOracle):
         dual = (p.caps - x) - w
         return np.concatenate([primal, dual])
 
-    def operator_sample_batch(self, z, count, stream):
+    def operator_noise(self, stream, shape):
+        """Per sample the intercept and then the n constraint noises, as an
+        array of shape ``shape + (1 + n,)``.  Each step (last axis of
+        ``shape``, S samples) draws its S intercepts before its S x n
+        constraint noises, as a batch of S samples always has."""
+        p = self.params
+        *steps, s = shape
+        n = p.n_leaders
+        h = p.constraint_noise_halfwidth
+        lo = np.repeat([p.a_lo, -h], [s, s * n])
+        hi = np.repeat([p.a_hi, h], [s, s * n])
+        raw = stream.uniform(lo, hi, (*steps, s * (1 + n)))
+        w = raw[..., s:].reshape(*steps, s, n)
+        return np.concatenate([raw[..., :s, None], w], axis=-1)
+
+    def operator_rows(self, z, noise):
         n = self.params.n_leaders
-        z = np.asarray(z, dtype=float)
-        x, duals = z[:n], z[n:]
-        primal = self.inner.operator_sample_batch(x, count, stream) + duals
-        w = self._draw_w(stream, (count, n))
-        dual = -(x - self.params.caps + w)
-        return np.concatenate([primal, dual], axis=1)
+        x, duals = z[..., :n], z[..., n:]
+        primal = self.inner.operator_rows(x, noise[..., 0]) + duals
+        dual = -(x - self.params.caps + noise[..., 1:])
+        return np.concatenate([primal, dual], axis=-1)
 
     def constraint_sample(self, i, x_i, stream) -> np.ndarray:
         """One realization of the private constraint of leader i."""

@@ -4,7 +4,11 @@
 resolvent of the game's mean operator at proximal weight lam; res vanishes
 exactly at solutions of the inclusion and is (1/lam)-Lipschitz.  The
 resolvent itself is expectation-valued, so it is estimated by the same
-projected SA loop the solver uses, repeated over independent streams.  The
+projected SA recursion the solver uses, repeated over independent streams.
+The repeats run in lockstep as lanes (one vectorized oracle call per step for
+all of them) over noise that each lane pre-draws in chunks from its own
+stream, so every lane draws and computes exactly what it would alone and the
+result does not depend on how many lanes run together.  The
 merged estimate removes the repeat-to-repeat sampling variance from the
 squared norm before taking the root: the raw norm of a noisy resolvent
 estimate is biased upward at (and near) a true zero, and the correction is
@@ -25,10 +29,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games.base import GameOracle
+from .games.base import GameOracle, NumericError
 from .rng import RandomStream
 from .solvers.smoothing import SmoothingParams, zsol_solve
-from .solvers.vr_spp import inner_resolvent
+
+# Noise pre-drawn per lane and chunk, counted as steps x samples x dim: a
+# chunk runs max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim)) steps.
+NOISE_CHUNK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,51 @@ def _corrected_norm(x: np.ndarray, estimates: np.ndarray, lam: float) -> float:
     return math.sqrt(max(0.0, gap2)) / lam
 
 
+def chunk_steps(samples_per_step: int, dim: int) -> int:
+    """Steps per pre-drawn noise chunk (see ``NOISE_CHUNK_VALUES``)."""
+    return max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim))
+
+
+def resolvent_lanes(
+    game: GameOracle,
+    x: np.ndarray,
+    config: ResidualConfig,
+    streams: list[RandomStream],
+) -> np.ndarray:
+    """One inexact resolvent estimate at ``x`` per stream, shape (lanes, dim).
+
+    Lane r runs the solver's projected SA recursion
+    z <- proj(z - (theta/j) (v + (z - x)/lam)) for ``inner_steps`` steps,
+    with v the mean of ``samples_per_step`` operator samples at z, on noise
+    drawn from ``streams[r]`` in the order a sample-at-a-time loop draws it.
+    """
+    lam, theta, n_steps = config.lam, config.theta, config.inner_steps
+    samples = config.samples_per_step
+    chunk = chunk_steps(samples, x.size)
+    project = game.feasible.project
+    z = np.repeat(x[None, :], len(streams), axis=0)
+    for start in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - start)
+        # (steps, lanes, samples, *event): one contiguous block per step.
+        noise = np.stack([game.operator_noise(s, (steps, samples)) for s in streams], axis=1)
+        for c in range(steps):
+            j = start + c + 1
+            # sum / count is what ndarray.mean computes, without its overhead
+            v = game.operator_rows(z[:, None, :], noise[c]).sum(axis=1) / samples
+            u = v + (z - x) / lam
+            z = project(z - (theta / j) * u)
+            # A non-finite entry makes the sum non-finite (inf +/- inf is nan);
+            # the total of finite lane sums can still overflow, so check per lane.
+            if not math.isfinite(z.sum()):
+                finite = np.isfinite(z.sum(axis=1))
+                if not finite.all():
+                    raise NumericError(
+                        f"inner SA of repeat {int(np.argmin(finite))} produced a "
+                        f"non-finite iterate at step {j}"
+                    )
+    return z
+
+
 def yosida_residual(
     game: GameOracle,
     x: np.ndarray,
@@ -86,20 +138,13 @@ def yosida_residual(
 ) -> tuple[float, float]:
     """Estimate (residual, stderr) at ``x``.
 
-    Runs ``repeats`` independent resolvent estimates on derived streams
-    (merge order is fixed by the derivation labels), combines them with the
-    variance correction above, and reports a jackknife standard error.
+    Runs ``repeats`` independent resolvent estimates as lanes on derived
+    streams (merge order is fixed by the derivation labels), combines them
+    with the variance correction above, and reports a jackknife standard
+    error.
     """
     x = np.asarray(x, dtype=float)
-    reps = np.stack(
-        [
-            inner_resolvent(
-                game, x, config.lam, config.theta, config.inner_steps,
-                stream.derive(r), config.samples_per_step,
-            )
-            for r in range(config.repeats)
-        ]
-    )
+    reps = resolvent_lanes(game, x, config, [stream.derive(r) for r in range(config.repeats)])
     estimate = _corrected_norm(x, reps, config.lam)
     r = config.repeats
     if r == 1:

@@ -70,9 +70,14 @@ class RandomStream:
 
     # ------------------------------------------------------------------ draws
 
-    def uniform(self, lo: float, hi: float, size=None):
-        """Uniform draw(s) on [lo, hi); scalar when ``size`` is None."""
-        if lo > hi:
+    def uniform(self, lo, hi, size=None):
+        """Uniform draw(s) on [lo, hi); scalar when ``size`` is None.  Array
+        bounds broadcast against ``size``; one such call draws exactly what
+        consecutive calls with the matching scalar bounds would."""
+        bad = lo > hi
+        if not isinstance(bad, bool):
+            bad = bad.any()
+        if bad:
             raise ValueError(f"uniform bounds out of order: lo={lo} > hi={hi}")
         out = self.generator.uniform(lo, hi, size)
         return float(out) if size is None else out

@@ -99,14 +99,13 @@ def inner_resolvent(
     theta: float,
     n_steps: int,
     stream: RandomStream,
-    samples_per_step: int = 1,
 ) -> np.ndarray:
     """Inexact evaluation of the resolvent (I + lam T)^{-1} at ``x_k``.
 
     Runs ``n_steps`` projected SA updates z <- proj(z - (theta/j) u) with
-    u = v + (z - x_k)/lam and v a fresh operator sample at z.  A
-    ``samples_per_step`` mini-batch is supported for measurement use; the
-    solver itself always passes 1.
+    u = v + (z - x_k)/lam and v a fresh operator sample at z.  The Yosida
+    residual runs the same recursion over lanes of mini-batches
+    (``residuals.resolvent_lanes``); this scalar loop is the solver's.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -114,10 +113,7 @@ def inner_resolvent(
     z = x_k.copy()
     project = game.feasible.project
     for j in range(1, n_steps + 1):
-        if samples_per_step == 1:
-            v = game.operator_sample(z, stream)
-        else:
-            v = game.operator_sample_batch(z, samples_per_step, stream).mean(axis=0)
+        v = game.operator_sample(z, stream)
         u = v + (z - x_k) / lam
         z = project(z - (theta / j) * u)
         # A non-finite entry makes the sum non-finite (inf +/- inf is nan).

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hiergames import FeasibleSet, GameOracle, PlayerLayout, RandomStream
-from hiergames.games.bilevel import BilevelParams
-from hiergames.games.cournot import MlmfParams
+from hiergames import FeasibleSet, GameOracle, PlayerLayout, RandomStream, RidgedGame
+from hiergames.games.bilevel import BilevelGame, BilevelParams
+from hiergames.games.cournot import ConstrainedMlmfCournotGame, MlmfCournotGame, MlmfParams
 
 
 class LinearToy(GameOracle):
@@ -23,8 +23,12 @@ class LinearToy(GameOracle):
         self.layout = PlayerLayout.scalar_players(1)
         self.feasible = FeasibleSet.nonneg(1) if nonneg else FeasibleSet.free(1)
 
-    def operator_sample(self, x, stream):
-        return self.slope * np.asarray(x, float) + self.offset
+    def operator_noise(self, stream, shape):
+        return np.zeros((*shape, 0))
+
+    def operator_rows(self, z, noise):
+        # the zeros only give the result the noise's leading axes
+        return self.slope * z + self.offset + np.zeros((*noise.shape[:-1], 1))
 
     def objective_sample(self, i, x, stream):
         v = float(np.asarray(x, float)[0])
@@ -54,10 +58,12 @@ class QuadraticToy(GameOracle):
         base = 0.5 * self.kappa * (v - self.m) ** 2 + self.abs_weight * np.abs(v)
         return base + self.noise * w * v
 
-    def operator_sample(self, x, stream):
-        v = np.asarray(x, float)
-        w = stream.uniform(-1.0, 1.0) if self.noise else 0.0
-        return self.kappa * (v - self.m) + self.abs_weight * np.sign(v) + self.noise * w
+    def operator_noise(self, stream, shape):
+        shape = (*shape, 1)
+        return stream.uniform(-1.0, 1.0, shape) if self.noise else np.zeros(shape)
+
+    def operator_rows(self, z, noise):
+        return self.kappa * (z - self.m) + self.abs_weight * np.sign(z) + self.noise * noise
 
     def objective_sample(self, i, x, stream):
         w = stream.uniform(-1.0, 1.0) if self.noise else 0.0
@@ -94,6 +100,24 @@ def make_mlmf_params(stream=None, n_leaders=13, n_followers=10, caps=None) -> Ml
 def make_bilevel_params(stream=None, n_players=13, coincident=False) -> BilevelParams:
     stream = stream or RandomStream(11).derive("params")
     return BilevelParams.sample(n_players, stream, coincident=coincident)
+
+
+def oracle_cases() -> dict[str, tuple[GameOracle, np.ndarray]]:
+    """Every game with the operator primitive, each with a feasible point."""
+    s = RandomStream(5).derive("oracle-cases")
+    return {
+        "mlmf": (MlmfCournotGame(make_mlmf_params()), s.uniform(0.0, 1.0, 13)),
+        "mlmf-constrained": (
+            ConstrainedMlmfCournotGame(make_mlmf_params(caps=5.0)), s.uniform(0.0, 1.0, 26)
+        ),
+        "bilevel": (BilevelGame(make_bilevel_params()), s.uniform(-1.0, 1.0, 13)),
+        "ridged-bilevel": (
+            RidgedGame(BilevelGame(make_bilevel_params(n_players=4)), mu=0.5),
+            s.uniform(-1.0, 1.0, 4),
+        ),
+        "linear-toy": (LinearToy(slope=2.0, offset=-1.0, nonneg=True), np.array([0.7])),
+        "quadratic-toy": (QuadraticToy(kappa=5.0, m=1.0, abs_weight=0.5, noise=1.0), np.array([0.3])),
+    }
 
 
 @pytest.fixture

@@ -2,10 +2,13 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see all of
 them).  Tolerances are fixed here; every stochastic check runs from the
-fixed root seed below so the whole gate is reproducible bit for bit.
+fixed root seed below so the whole gate is reproducible bit for bit.  Every
+test here carries the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs the rest of the suite alone.
 """
 
 import numpy as np
+import pytest
 
 from hiergames import RandomStream, RidgedGame
 from hiergames.bench.runner import run_experiment
@@ -32,6 +35,8 @@ from test_games_base import monotone_pair_check
 from test_residuals import lipschitz_pairs_check
 from test_smoothing import sandwich_check
 from test_vr_spp import recursion_bound_check
+
+pytestmark = pytest.mark.acceptance
 
 ROOT_SEED = 0
 SEEDS_20 = list(range(20))

@@ -228,6 +228,40 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert dats and dats[0].read_text().startswith("# iter residual samples_cum")
 
 
+# Line 3 of the file is malformed.  Undecodable bytes are found while the
+# file is read in blocks, before the row they sit in is parsed, so that error
+# names the line the parser had reached.
+MALFORMED_ROWS = [
+    ("bad-int", b"k,0,abc,0.5,0.1,10,1.0", "line 3: invalid literal"),
+    ("missing-field", b"k,0,1,0.5,0.1,10", "line 3: expected 7 fields"),
+    ("extra-field", b"k,0,1,0.5,0.1,10,1.0,9", "line 3: expected 7 fields"),
+    ("not-utf8", b"k\xff,0,1,0.5,0.1,10,1.0", "can't decode"),
+]
+
+
+@pytest.mark.parametrize("label,row,message", MALFORMED_ROWS, ids=[m[0] for m in MALFORMED_ROWS])
+@pytest.mark.parametrize("command", ["tables", "plotdata"])
+def test_malformed_runs_csv_is_a_validation_error(tmp_path, command, label, row, message):
+    run_dir = tmp_path / "r"
+    run_dir.mkdir()
+    path = run_dir / "runs.csv"
+    path.write_bytes((",".join(CSV_COLUMNS) + "\nk,0,0,0.5,0.1,0,0.0\n").encode() + row + b"\n")
+    with pytest.raises(SpecValidationError, match=message):
+        read_csv_rows(path)
+    code, err = _cli([command, "--in", str(tmp_path)])
+    assert code == 1
+    assert f"{path}, line " in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["tables", "plotdata"])
+def test_unreadable_runs_csv_is_a_runtime_error(tmp_path, command):
+    (tmp_path / "r" / "runs.csv").mkdir(parents=True)
+    code, err = _cli([command, "--in", str(tmp_path)])
+    assert code == 2
+    assert "runtime error:" in err and "Traceback" not in err
+
+
 def test_cli_run_rejects_missing_spec(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o"), "--seed", "1"]) == 1

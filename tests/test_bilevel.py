@@ -52,7 +52,7 @@ def test_operator_coincident_is_affine():
     p = manual_params([10.0, 20.0], [3.0, 3.0], [1.0, 1.0])
     game = BilevelGame(p)
     x = np.array([0.4, -1.3])
-    val = game.operator_value(x, np.array([35.0, 35.0]))
+    val = game.operator_rows(x, np.array([35.0, 35.0]))
     expect = (p.curvature + 3.0) * x + 3.0 * x.sum() + 35.0
     assert np.allclose(val, expect, atol=1e-12)
 
@@ -60,7 +60,7 @@ def test_operator_coincident_is_affine():
 def test_operator_at_origin_uses_tie_break():
     p = manual_params([10.0], [2.0], [0.5])
     game = BilevelGame(p)
-    val = game.operator_value(np.zeros(1), np.array([35.0]))
+    val = game.operator_rows(np.zeros(1), np.array([35.0]))
     assert val[0] == pytest.approx(35.0 * (2.0 / 3.0))
 
 

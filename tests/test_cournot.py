@@ -191,6 +191,21 @@ def test_constrained_dual_mean(stream):
     assert np.all(np.abs(dual.mean(axis=0) - (5.0 - x)) <= 3.0 * se)
 
 
+def test_constrained_batch_draws_intercepts_then_constraint_noise(stream):
+    # Per step: all S intercepts first, then the S x n constraint noises;
+    # the Yosida residual's recorded values depend on this order.
+    params = make_mlmf_params(caps=5.0)
+    con = ConstrainedMlmfCournotGame(params)
+    s = stream.derive("order")
+    noise = con.operator_noise(s.clone(), (2, 4))
+    h = params.constraint_noise_halfwidth
+    for step in range(2):
+        a = s.uniform(params.a_lo, params.a_hi, 4)
+        w = s.uniform(-h, h, (4, 13))
+        assert np.array_equal(noise[step, :, 0], a)
+        assert np.array_equal(noise[step, :, 1:], w)
+
+
 def test_constraint_sample_batch_mean(stream):
     con = ConstrainedMlmfCournotGame(make_mlmf_params(caps=5.0))
     vals = con.constraint_sample_batch(3, 1.25, 10**5, stream)

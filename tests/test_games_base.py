@@ -14,7 +14,7 @@ from hiergames import (
 from hiergames.games.bilevel import BilevelGame
 from hiergames.games.cournot import MlmfCournotGame
 
-from conftest import LinearToy, make_bilevel_params, make_mlmf_params
+from conftest import LinearToy, make_bilevel_params, make_mlmf_params, oracle_cases
 
 
 def test_layout_slices():
@@ -171,3 +171,31 @@ def test_ridged_game_shifts_operator(stream):
     shifted = ridged.operator_sample(x, s.clone())
     plain = base.operator_sample(x, s.clone())
     assert np.allclose(shifted - plain, x)
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_operator_noise_is_chunk_invariant(name):
+    game, x = oracle_cases()[name]
+    block = RandomStream(3).derive(name)
+    steps = RandomStream(3).derive(name)
+    chunk = game.operator_noise(block, (4, 3))
+    assert np.array_equal(chunk, np.stack([game.operator_noise(steps, (3,)) for _ in range(4)]))
+    # both streams stand at the same position afterwards
+    assert np.array_equal(game.operator_noise(block, (2,)), game.operator_noise(steps, (2,)))
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_batch_of_one_equals_operator_sample(name):
+    game, x = oracle_cases()[name]
+    s = RandomStream(4).derive(name)
+    for _ in range(3):
+        one = game.operator_sample_batch(x, 1, s.clone())
+        assert one.shape == (1, x.size)
+        assert np.array_equal(one[0], game.operator_sample(x, s))
+    # rows at stacked points under one noise block equal rows point by point
+    pts = np.stack([x, 0.5 * x])
+    noise = game.operator_noise(s, (2, 5))
+    rows = game.operator_rows(pts[:, None, :], noise)
+    assert rows.shape == (2, 5, x.size)
+    for k in range(2):
+        assert np.array_equal(rows[k], game.operator_rows(pts[k], noise[k]))

@@ -1,13 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-
+from hiergames import NumericError, RandomStream
+from hiergames import residuals
 from hiergames.games.bilevel import BilevelGame, direct_equilibrium
-from hiergames.games.cournot import MlmfCournotGame
-from hiergames.residuals import ResidualConfig, br_residual, yosida_residual
+from hiergames.games.cournot import ConstrainedMlmfCournotGame, MlmfCournotGame
+from hiergames.residuals import ResidualConfig, br_residual, chunk_steps, yosida_residual
 from hiergames.solvers.smoothing import SmoothingParams, zsol_solve
 
-from conftest import LinearToy, QuadraticToy, make_bilevel_params, make_mlmf_params
+from conftest import (
+    LinearToy,
+    QuadraticToy,
+    make_bilevel_params,
+    make_mlmf_params,
+    oracle_cases,
+)
 
 
 def test_config_validation():
@@ -105,3 +114,64 @@ def test_br_residual_small_at_smoothed_fixed_point(stream):
             x[i] = zsol_solve(game, sp, i, x, 22, stream.derive(sweep).derive(i))[0]
     res = br_residual(game, sp, x, 24, stream.derive("eval"), eval_zeta=0.002)
     assert res <= 1e-3
+
+
+# ------------------------------------------------------ lanes vs. repeat loop
+
+
+def sequential_resolvents(game, x, config, streams):
+    """Reference for ``resolvent_lanes``: one resolvent loop per repeat, run
+    one after another with one oracle call and one draw per step."""
+    out = []
+    for stream in streams:
+        z = x.copy()
+        for j in range(1, config.inner_steps + 1):
+            if config.samples_per_step == 1:
+                v = game.operator_sample(z, stream)
+            else:
+                v = game.operator_sample_batch(z, config.samples_per_step, stream).mean(axis=0)
+            z = game.feasible.project(z - (config.theta / j) * (v + (z - x) / config.lam))
+        out.append(z)
+    return np.stack(out)
+
+
+CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("repeats", [1, 2, 5])
+@pytest.mark.parametrize("samples", [1, 3, 16])
+@pytest.mark.parametrize("steps", ["one", "chunk-1", "chunk+1"])
+def test_lanes_match_sequential_repeats_bitwise(monkeypatch, name, repeats, samples, steps):
+    game, x = CASES[name]
+    chunk = chunk_steps(samples, x.size)
+    n_steps = {"one": 1, "chunk-1": max(1, chunk - 1), "chunk+1": chunk + 1}[steps]
+    cfg = ResidualConfig(lam=0.1, theta=0.2, inner_steps=n_steps, samples_per_step=samples,
+                         repeats=repeats)
+    stream = RandomStream(99).derive(name)
+    lanes = yosida_residual(game, x, cfg, stream)
+    monkeypatch.setattr(residuals, "resolvent_lanes", sequential_resolvents)
+    assert yosida_residual(game, x, cfg, stream) == lanes
+
+
+def test_lanes_reject_nan_and_name_the_step(stream):
+    cfg = ResidualConfig(lam=1.0, theta=1.0, inner_steps=3, repeats=2)
+    with pytest.raises(NumericError, match="NaN"):
+        yosida_residual(LinearToy(offset=np.nan), np.zeros(1), cfg, stream)
+    with pytest.raises(NumericError, match="step 1"):
+        yosida_residual(LinearToy(slope=np.inf), np.ones(1), cfg, stream)
+
+
+def test_constrained_residual_memory_stays_flat(stream):
+    # Noise is pre-drawn in chunks, not for the whole loop: 5000 steps x 16
+    # samples x 5 lanes of the 13-leader constrained market would be 45 MB.
+    game = ConstrainedMlmfCournotGame(make_mlmf_params(caps=5.0))
+    x = np.concatenate([stream.uniform(0.0, 1.0, 13), np.zeros(13)])
+    cfg = ResidualConfig(lam=0.1, theta=0.2, inner_steps=5000, samples_per_step=16, repeats=5)
+    tracemalloc.start()
+    try:
+        yosida_residual(game, x, cfg, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
