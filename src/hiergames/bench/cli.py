@@ -53,6 +53,9 @@ def cmd_run(args) -> int:
     except (SpecValidationError, OSError, json.JSONDecodeError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.jobs < 1:
+        print(f"validation error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         aggregates, rows, _reports = run_experiment(spec, root_seed=args.seed, jobs=args.jobs)
         out = Path(args.out)

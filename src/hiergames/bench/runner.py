@@ -146,8 +146,10 @@ def run_experiment(
             tasks.append((resolved, sweep_idx, seed_idx, seed, key, root_seed))
 
     results: dict[tuple[int, int], tuple[list[RunRow], float, RunReport]] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers on first submit; never more than runs.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for sweep_idx, seed_idx, rows, eq, report in pool.map(_run_job, tasks):
                 results[(sweep_idx, seed_idx)] = (rows, eq, report)
     else:

@@ -1,17 +1,17 @@
 """Game abstraction consumed by every solver.
 
 A game instance exposes its player layout, a coordinate-separable feasible
-set, and sampled oracles.  The operator is sampled through one noise-explicit
-primitive: ``operator_noise`` draws the noise of a block of samples and
-``operator_rows`` evaluates the concatenated per-player subgradient map (the
-follower problem is solved internally) row-wise under given noise, so
-callers that pass the same noise array share it (common random numbers) and
-callers that draw a block up front replay the draws of sample-at-a-time use.
-``objective_sample`` returns one realization of a player's implicit
-objective.  Normal-cone elements of the feasible set are never materialized
-in samples; solvers realize them by projecting.  Implementations must be
-immutable after construction and pure given (x, stream state): repeating a
-call with a cloned stream reproduces the sample bitwise.
+set, and sampled oracles.  The operator and every player's implicit
+objective are functions of one random variable: ``draw_noise`` draws its
+realizations for a block of samples, and ``operator_rows`` (the follower
+problem is solved internally) and ``objective_rows`` evaluate row-wise under
+given noise.  Callers that pass the same noise array share it (common random
+numbers); a block drawn up front replays sample-at-a-time draws.  The
+``*_sample*`` methods draw, then evaluate.  Normal-cone elements of the
+feasible set are never materialized in samples; solvers realize them by
+projecting.  Implementations must be immutable after construction and pure
+given (x, stream state): repeating a call with a cloned stream reproduces
+the sample bitwise.
 """
 
 from __future__ import annotations
@@ -128,20 +128,18 @@ class FeasibleSet:
 class GameOracle:
     """Interface contract; see module docstring.
 
-    Subclasses set ``layout`` and ``feasible`` and implement the operator
-    primitive (``operator_noise``, ``operator_rows``) and the objective
-    sample methods; they may override ``operator_sample`` with a scalar fast
-    path that draws and computes exactly what a batch of one does.  The
-    objective ``*_batch`` variants evaluate at fixed rivals under many
-    independent noise realizations; the default implementations loop.
+    Subclasses set ``layout`` and ``feasible`` and implement ``draw_noise``,
+    ``operator_rows`` and, where players have objectives,
+    ``objective_rows``; they may override ``operator_sample`` with a scalar
+    fast path that draws and computes exactly what a batch of one does.
     """
 
     layout: PlayerLayout
     feasible: FeasibleSet
 
-    def operator_noise(self, stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
-        """Noise of ``shape`` operator samples, as an array of shape
-        ``shape + event`` (``event`` is game-specific, possibly empty).
+    def draw_noise(self, stream: RandomStream, shape: tuple[int, ...]) -> np.ndarray:
+        """Realizations of the noise for ``shape`` samples, as an array of
+        shape ``shape + event`` (``event`` is game-specific, possibly empty).
 
         The last axis of ``shape`` holds the samples of one step; a draw of
         shape ``(C, S)`` equals ``C`` consecutive draws of shape ``(S,)``.
@@ -150,47 +148,55 @@ class GameOracle:
 
     def operator_rows(self, z: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Operator realizations at points ``z`` (shape ``(..., dim)``) under
-        ``noise`` from :meth:`operator_noise`; the leading axes of ``z``
+        ``noise`` from :meth:`draw_noise`; the leading axes of ``z``
         broadcast against those of ``noise`` and the result has shape
         ``broadcast + (dim,)``."""
         raise NotImplementedError
 
+    def objective_rows(
+        self, i: int, own: np.ndarray, x: np.ndarray, noise: np.ndarray
+    ) -> np.ndarray:
+        """Player ``i``'s objective realizations, shape ``(count,)``.
+
+        Row j of ``own`` (shape ``(count, n_i)``, or ``(count,)`` for scalar
+        players) is player i's own variable; rivals stay at ``x``.  Row j is
+        evaluated under ``noise[j]``, with ``noise`` of shape
+        ``(count,) + event`` from :meth:`draw_noise`.
+        """
+        raise NotImplementedError
+
     def operator_sample(self, x: np.ndarray, stream: RandomStream) -> np.ndarray:
-        return self.operator_rows(np.asarray(x, dtype=float), self.operator_noise(stream, (1,)))[0]
+        return self.operator_rows(np.asarray(x, dtype=float), self.draw_noise(stream, (1,)))[0]
 
     def operator_sample_batch(self, x: np.ndarray, count: int, stream: RandomStream) -> np.ndarray:
         """``count`` operator realizations at ``x``, shape ``(count, dim)``."""
-        return self.operator_rows(np.asarray(x, dtype=float), self.operator_noise(stream, (count,)))
+        return self.operator_rows(np.asarray(x, dtype=float), self.draw_noise(stream, (count,)))
 
     def objective_sample(self, i: int, x: np.ndarray, stream: RandomStream) -> float:
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        own = x[self.layout.slice_of(i)][None, :]
+        return float(self.objective_rows(i, own, x, self.draw_noise(stream, (1,)))[0])
 
     def objective_sample_batch(
         self, i: int, own: np.ndarray, x: np.ndarray, stream: RandomStream
     ) -> np.ndarray:
-        """Objective realizations at per-row own-variable values ``own``.
-
-        ``own`` has shape (count, n_i) (or (count,) for scalar players);
-        rivals stay at ``x``.  Row j uses its own fresh noise draw, so two
-        calls with cloned streams share noise row by row.
-        """
-        own = np.atleast_2d(np.asarray(own, dtype=float))
-        sl = self.layout.slice_of(i)
-        out = np.empty(own.shape[0])
-        for j in range(own.shape[0]):
-            xj = np.array(x, dtype=float, copy=True)
-            xj[sl] = own[j]
-            out[j] = self.objective_sample(i, xj, stream)
-        return out
+        """Objective realizations at per-row own variables ``own`` (see
+        :meth:`objective_rows`), each row under a fresh noise draw."""
+        own = np.asarray(own, dtype=float)
+        noise = self.draw_noise(stream, (len(own),))
+        return self.objective_rows(i, own, np.asarray(x, dtype=float), noise)
 
     def objective_pair_sample_batch(
         self, i: int, own_a: np.ndarray, own_b: np.ndarray, x: np.ndarray, stream: RandomStream
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise objective realizations at two own-variable arrays with a
-        shared noise draw per row (common random numbers within the pair)."""
-        fa = self.objective_sample_batch(i, own_a, x, stream.clone())
-        fb = self.objective_sample_batch(i, own_b, x, stream)
-        return fa, fb
+        """Row-wise objective realizations at two own-variable arrays under
+        one noise draw per row (common random numbers within the pair)."""
+        own_a = np.asarray(own_a, dtype=float)
+        count = len(own_a)
+        noise = self.draw_noise(stream, (count,))
+        own = np.concatenate([own_a, np.asarray(own_b, dtype=float)])
+        f = self.objective_rows(i, own, np.asarray(x, dtype=float), np.concatenate([noise, noise]))
+        return f[:count], f[count:]
 
 
 def estimate_mean_operator(
@@ -227,18 +233,12 @@ class RidgedGame(GameOracle):
     def operator_sample(self, x, stream):
         return self.base.operator_sample(x, stream) + self.mu * np.asarray(x, float)
 
-    def operator_noise(self, stream, shape):
-        return self.base.operator_noise(stream, shape)
+    def draw_noise(self, stream, shape):
+        return self.base.draw_noise(stream, shape)
 
     def operator_rows(self, z, noise):
         return self.base.operator_rows(z, noise) + self.mu * z
 
-    def objective_sample(self, i, x, stream):
-        sl = self.layout.slice_of(i)
-        own = np.asarray(x, float)[sl]
-        return self.base.objective_sample(i, x, stream) + 0.5 * self.mu * float(own @ own)
-
-    def objective_sample_batch(self, i, own, x, stream):
-        own2 = np.atleast_2d(np.asarray(own, dtype=float))
-        base = self.base.objective_sample_batch(i, own, x, stream)
-        return base + 0.5 * self.mu * np.sum(own2 * own2, axis=1)
+    def objective_rows(self, i, own, x, noise):
+        rows = own.reshape(len(own), -1)
+        return self.base.objective_rows(i, own, x, noise) + 0.5 * self.mu * np.sum(rows**2, axis=1)

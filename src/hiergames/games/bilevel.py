@@ -126,21 +126,16 @@ class BilevelGame(GameOracle):
         self.layout = PlayerLayout.scalar_players(n)
         self.feasible = FeasibleSet.nonneg(n) if params.nonneg else FeasibleSet.free(n)
 
-    def _draw_a(self, stream: RandomStream, size=None):
-        # One intercept per player per realization, drawn jointly so that
-        # cloned streams align draws across operator/objective/potential.
-        p = self.params
-        shape = p.n_players if size is None else (size, p.n_players)
-        return stream.uniform(p.a_lo, p.a_hi, shape)
-
     def operator_sample(self, x, stream):
         p = self.params
         x = np.asarray(x, dtype=float)
         a = stream.generator.uniform(p.a_lo, p.a_hi, p.n_players)
         return self.operator_rows(x, a)
 
-    def operator_noise(self, stream, shape):
-        """One intercept per player per sample: shape ``shape + (n,)``."""
+    def draw_noise(self, stream, shape):
+        """One intercept per player per sample, drawn jointly so that
+        operator, objectives and potential share a realization: shape
+        ``shape + (n,)``."""
         p = self.params
         return stream.uniform(p.a_lo, p.a_hi, (*shape, p.n_players))
 
@@ -149,44 +144,19 @@ class BilevelGame(GameOracle):
         w = INTERACTION_WEIGHT
         return (p.curvature + w) * z + w * z.sum(axis=-1, keepdims=True) + noise * _lower_slopes(p, z)
 
-    def objective_sample(self, i, x, stream):
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream)
+    def objective_rows(self, i, own, x, noise):
         p = self.params
-        w = INTERACTION_WEIGHT
-        own = float(x[i])
-        return float(
-            0.5 * p.curvature[i] * own**2
-            + w * own * np.sum(x)
-            + a[i] * lower_level_solution(p, i, own)
-        )
-
-    def _objective_rows(self, i, own, rivals, a):
-        p = self.params
+        own = own.reshape(-1)
+        rivals = float(np.sum(x)) - float(x[i])
         w = INTERACTION_WEIGHT
         lower = np.maximum(p.kink_slopes[i] * own, p.bound_slope[i] * own)
-        return 0.5 * p.curvature[i] * own**2 + w * own * (rivals + own) + a * lower
-
-    def objective_sample_batch(self, i, own, x, stream):
-        own = np.asarray(own, dtype=float).reshape(-1)
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream, own.size)[:, i]
-        rivals = float(np.sum(x)) - float(x[i])
-        return self._objective_rows(i, own, rivals, a)
-
-    def objective_pair_sample_batch(self, i, own_a, own_b, x, stream):
-        own_a = np.asarray(own_a, dtype=float).reshape(-1)
-        own_b = np.asarray(own_b, dtype=float).reshape(-1)
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream, own_a.size)[:, i]
-        rivals = float(np.sum(x)) - float(x[i])
-        return self._objective_rows(i, own_a, rivals, a), self._objective_rows(i, own_b, rivals, a)
+        return 0.5 * p.curvature[i] * own**2 + w * own * (rivals + own) + noise[:, i] * lower
 
     def potential_sample(self, x, stream) -> float:
         """One realization of the exact potential; shares the per-player
         intercept draws with the other sample methods."""
         x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream)
+        a = self.draw_noise(stream, ())
         p = self.params
         w = INTERACTION_WEIGHT
         quad = 0.5 * float(p.curvature @ x**2)

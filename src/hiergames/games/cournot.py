@@ -148,9 +148,6 @@ class MlmfCournotGame(GameOracle):
         self._wsum = float((1.0 / (params.follower_costs + b)).sum())
         self._shrink = -b * self._wsum / (1.0 + b * self._wsum)
 
-    def _draw_a(self, stream: RandomStream, size=None):
-        return stream.uniform(self.params.a_lo, self.params.a_hi, size)
-
     def operator_sample(self, x, stream):
         p = self.params
         a = stream.generator.uniform(p.a_lo, p.a_hi)
@@ -177,9 +174,9 @@ class MlmfCournotGame(GameOracle):
         price = np.where(margin > 0.0, margin / (1.0 + b * self._wsum), margin)
         return price, np.where(margin >= 0.0, self._shrink, 0.0)
 
-    def operator_noise(self, stream, shape):
+    def draw_noise(self, stream, shape):
         """One demand intercept per sample: an array of shape ``shape``."""
-        return self._draw_a(stream, shape)
+        return stream.uniform(self.params.a_lo, self.params.a_hi, shape)
 
     def operator_rows(self, z, noise):
         price, dY = self._price(z.sum(axis=-1), noise)
@@ -187,36 +184,11 @@ class MlmfCournotGame(GameOracle):
         coef = self.params.leader_costs + (1.0 + dY)[..., None] * self.params.demand_slope
         return coef * z - price[..., None]
 
-    def objective_sample(self, i, x, stream):
-        x = np.asarray(x, dtype=float)
-        a = self._draw_a(stream)
-        p = self.params
-        X = float(np.sum(x))
-        sol = follower_equilibrium(p, X, a)
-        price = a - p.demand_slope * (X + sol.total)
-        return float(-price * x[i] + 0.5 * p.leader_costs[i] * x[i] ** 2)
-
-    def objective_sample_batch(self, i, own, x, stream):
-        own = np.asarray(own, dtype=float).reshape(-1)
-        x = np.asarray(x, dtype=float)
-        p = self.params
+    def objective_rows(self, i, own, x, noise):
+        own = own.reshape(-1)
         rivals = float(np.sum(x)) - float(x[i])
-        a = self._draw_a(stream, own.size)
-        price, _ = self._price(rivals + own, a)
-        return -price * own + 0.5 * p.leader_costs[i] * own**2
-
-    def objective_pair_sample_batch(self, i, own_a, own_b, x, stream):
-        own_a = np.asarray(own_a, dtype=float).reshape(-1)
-        own_b = np.asarray(own_b, dtype=float).reshape(-1)
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        rivals = float(np.sum(x)) - float(x[i])
-        a = self._draw_a(stream, own_a.size)
-        price_a, _ = self._price(rivals + own_a, a)
-        price_b, _ = self._price(rivals + own_b, a)
-        fa = -price_a * own_a + 0.5 * p.leader_costs[i] * own_a**2
-        fb = -price_b * own_b + 0.5 * p.leader_costs[i] * own_b**2
-        return fa, fb
+        price, _ = self._price(rivals + own, noise)
+        return -price * own + 0.5 * self.params.leader_costs[i] * own**2
 
 
 @dataclass(frozen=True)
@@ -267,7 +239,7 @@ class ConstrainedMlmfCournotGame(GameOracle):
         dual = (p.caps - x) - w
         return np.concatenate([primal, dual])
 
-    def operator_noise(self, stream, shape):
+    def draw_noise(self, stream, shape):
         """Per sample the intercept and then the n constraint noises, as an
         array of shape ``shape + (1 + n,)``.  Each step (last axis of
         ``shape``, S samples) draws its S intercepts before its S x n
@@ -297,9 +269,3 @@ class ConstrainedMlmfCournotGame(GameOracle):
     def constraint_sample_batch(self, i, x_i, count, stream) -> np.ndarray:
         w = self._draw_w(stream, count)
         return float(x_i) - self.params.caps[i] + w
-
-    def objective_sample(self, i, z, stream):
-        n = self.params.n_leaders
-        if i >= n:
-            raise ValueError("objective is defined for leader blocks only")
-        return self.inner.objective_sample(i, np.asarray(z, float)[:n], stream)

@@ -111,7 +111,7 @@ def resolvent_lanes(
     for start in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - start)
         # (steps, lanes, samples, *event): one contiguous block per step.
-        noise = np.stack([game.operator_noise(s, (steps, samples)) for s in streams], axis=1)
+        noise = np.stack([game.draw_noise(s, (steps, samples)) for s in streams], axis=1)
         for c in range(steps):
             j = start + c + 1
             # sum / count is what ndarray.mean computes, without its overhead

@@ -23,19 +23,15 @@ class LinearToy(GameOracle):
         self.layout = PlayerLayout.scalar_players(1)
         self.feasible = FeasibleSet.nonneg(1) if nonneg else FeasibleSet.free(1)
 
-    def operator_noise(self, stream, shape):
+    def draw_noise(self, stream, shape):
         return np.zeros((*shape, 0))
 
     def operator_rows(self, z, noise):
         # the zeros only give the result the noise's leading axes
         return self.slope * z + self.offset + np.zeros((*noise.shape[:-1], 1))
 
-    def objective_sample(self, i, x, stream):
-        v = float(np.asarray(x, float)[0])
-        return 0.5 * self.slope * v * v + self.offset * v
-
-    def objective_sample_batch(self, i, own, x, stream):
-        own = np.asarray(own, float).reshape(-1)
+    def objective_rows(self, i, own, x, noise):
+        own = own.reshape(-1)
         return 0.5 * self.slope * own * own + self.offset * own
 
 
@@ -58,21 +54,15 @@ class QuadraticToy(GameOracle):
         base = 0.5 * self.kappa * (v - self.m) ** 2 + self.abs_weight * np.abs(v)
         return base + self.noise * w * v
 
-    def operator_noise(self, stream, shape):
+    def draw_noise(self, stream, shape):
         shape = (*shape, 1)
         return stream.uniform(-1.0, 1.0, shape) if self.noise else np.zeros(shape)
 
     def operator_rows(self, z, noise):
         return self.kappa * (z - self.m) + self.abs_weight * np.sign(z) + self.noise * noise
 
-    def objective_sample(self, i, x, stream):
-        w = stream.uniform(-1.0, 1.0) if self.noise else 0.0
-        return float(self._value(float(np.asarray(x, float)[0]), w))
-
-    def objective_sample_batch(self, i, own, x, stream):
-        own = np.asarray(own, float).reshape(-1)
-        w = stream.uniform(-1.0, 1.0, own.size) if self.noise else np.zeros(own.size)
-        return self._value(own, w)
+    def objective_rows(self, i, own, x, noise):
+        return self._value(own.reshape(-1), noise[:, 0])
 
     def prox_best_response(self, c: float, center: float) -> float:
         """Exact minimizer of value + c (v - center)^2 / 2."""

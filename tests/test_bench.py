@@ -267,6 +267,46 @@ def test_cli_run_rejects_missing_spec(tmp_path):
                  "--out", str(tmp_path / "o"), "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_run_rejects_jobs_below_one(tmp_path, jobs):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(tiny_spec()))
+    out = tmp_path / "o"
+    code, err = _cli(["run", "--spec", str(spec_path), "--out", str(out), "--seed", "1",
+                      "--jobs", jobs])
+    assert code == 1
+    assert "validation error:" in err and "--jobs" in err
+    assert not out.exists()
+
+
+def test_worker_pool_never_exceeds_run_count(monkeypatch):
+    from hiergames.bench import runner
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    budget = {"budget": {"outer_iters": 1}}
+    run_experiment(spec_from_dict(tiny_spec(**budget)), root_seed=5, jobs=64)  # 2 runs
+    run_experiment(spec_from_dict(tiny_spec(seeds=[0, 1, 2, 3], **budget)), root_seed=5, jobs=3)
+    run_experiment(spec_from_dict(tiny_spec(seeds=[0], **budget)), root_seed=5, jobs=64)
+    assert sizes == [2, 3]
+
+
 def test_bundled_specs_validate():
     from pathlib import Path
 
@@ -289,6 +329,23 @@ def test_bundled_specs_validate():
         for label, spec in pairs:
             problems = validate_spec(spec)
             assert not problems, f"{name}/{label}: {problems}"
+
+
+def test_benchmark_trace_installs():
+    # The traced benchmark wraps oracle, solver and runner functions by
+    # attribute; a renamed or deleted one must fail here, not only under
+    # `perfbench/run.py --trace 1`.  A subprocess keeps the wrappers out of
+    # this session.
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    code = "import tracing; tracing.install(); print('installed')"
+    env = {"PYTHONPATH": f"{root / 'src'}:{root / 'perfbench'}", "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "installed"
 
 
 def test_sweep_path_head_is_validated():

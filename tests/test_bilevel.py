@@ -11,8 +11,9 @@ from hiergames.games.bilevel import (
     lower_level_solution,
     lower_level_subgradient,
 )
+from hiergames.games.cournot import MlmfCournotGame
 
-from conftest import make_bilevel_params
+from conftest import make_bilevel_params, make_mlmf_params
 
 
 def manual_params(d, slope, bound, q=3.0, a_lo=33.0, a_hi=37.0):
@@ -65,18 +66,23 @@ def test_operator_at_origin_uses_tie_break():
 
 
 def test_operator_matches_objective_finite_differences(stream):
-    # Away from the kink the per-realization objective is differentiable in
-    # the own variable and central differences recover the full component.
-    game = BilevelGame(make_bilevel_params())
-    x = stream.uniform(0.5, 2.0, 13)  # comfortably right of every kink
+    # Away from kinks the per-realization objective is differentiable in the
+    # own variable, and central differences under the operator's noise
+    # recover its component: right of every bilevel kink, and on the market
+    # where x in [0, 0.3]^13 keeps the followers active.
     h = 1e-5
-    for i in (0, 4, 9):
-        crn = stream.derive(i)
-        f_hi = game.objective_sample_batch(i, np.array([x[i] + h]), x, crn.clone())[0]
-        f_lo = game.objective_sample_batch(i, np.array([x[i] - h]), x, crn.clone())[0]
-        fd = (f_hi - f_lo) / (2 * h)
-        comp = game.operator_sample(x, crn.clone())[i]
-        assert fd == pytest.approx(comp, abs=1e-6)
+    cases = [
+        (BilevelGame(make_bilevel_params()), stream.uniform(0.5, 2.0, 13)),
+        (MlmfCournotGame(make_mlmf_params()), stream.uniform(0.0, 0.3, 13)),
+    ]
+    for game, x in cases:
+        noise = game.draw_noise(stream.derive("fd"), (200,))
+        ops = game.operator_rows(x, noise)
+        for i in (0, 4, 9):
+            f_hi = game.objective_rows(i, np.full(200, x[i] + h), x, noise)
+            f_lo = game.objective_rows(i, np.full(200, x[i] - h), x, noise)
+            fd = (f_hi - f_lo) / (2 * h)
+            assert np.max(np.abs(fd - ops[:, i])) <= 1e-6
 
 
 def test_objective_zero_at_origin(stream):

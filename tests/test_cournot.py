@@ -197,7 +197,7 @@ def test_constrained_batch_draws_intercepts_then_constraint_noise(stream):
     params = make_mlmf_params(caps=5.0)
     con = ConstrainedMlmfCournotGame(params)
     s = stream.derive("order")
-    noise = con.operator_noise(s.clone(), (2, 4))
+    noise = con.draw_noise(s.clone(), (2, 4))
     h = params.constraint_noise_halfwidth
     for step in range(2):
         a = s.uniform(params.a_lo, params.a_hi, 4)

@@ -174,14 +174,59 @@ def test_ridged_game_shifts_operator(stream):
 
 
 @pytest.mark.parametrize("name", sorted(oracle_cases()))
-def test_operator_noise_is_chunk_invariant(name):
+def test_draw_noise_is_chunk_invariant(name):
     game, x = oracle_cases()[name]
     block = RandomStream(3).derive(name)
     steps = RandomStream(3).derive(name)
-    chunk = game.operator_noise(block, (4, 3))
-    assert np.array_equal(chunk, np.stack([game.operator_noise(steps, (3,)) for _ in range(4)]))
+    # (4, 3) is a resolvent chunk; rows 1, 2 and 7 are objective batches
+    for chunks, samples in ((4, 3), (2, 1), (2, 2), (3, 7)):
+        chunk = game.draw_noise(block, (chunks, samples))
+        each = [game.draw_noise(steps, (samples,)) for _ in range(chunks)]
+        assert np.array_equal(chunk, np.stack(each))
     # both streams stand at the same position afterwards
-    assert np.array_equal(game.operator_noise(block, (2,)), game.operator_noise(steps, (2,)))
+    assert np.array_equal(game.draw_noise(block, (2,)), game.draw_noise(steps, (2,)))
+
+
+def objective_cases():
+    """The games of ``oracle_cases`` whose players have objectives."""
+    return {k: v for k, v in oracle_cases().items() if k != "mlmf-constrained"}
+
+
+@pytest.mark.parametrize("name", sorted(objective_cases()))
+def test_objective_pair_equals_batches_on_cloned_streams(name):
+    game, x = objective_cases()[name]
+    for i in range(min(game.layout.n_players, 3)):
+        for rows in (1, 2, 7):
+            s = RandomStream(6).derive(f"{name}/{i}/{rows}")
+            flat_a = s.uniform(-1.0, 1.0, rows)
+            flat_b = flat_a + s.uniform(-0.5, 0.5, rows)
+            for own_a, own_b in ((flat_a, flat_b), (flat_a[:, None], flat_b[:, None])):
+                ref = s.clone()
+                fa_ref = game.objective_sample_batch(i, own_a, x, ref.clone())
+                fb_ref = game.objective_sample_batch(i, own_b, x, ref)
+                fa, fb = game.objective_pair_sample_batch(i, own_a, own_b, x, s)
+                assert fa.shape == fb.shape == (rows,)
+                assert np.array_equal(fa, fa_ref) and np.array_equal(fb, fb_ref)
+                assert s.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+            # 1-D and 2-D rows of a scalar player are the same rows
+            flat = game.objective_sample_batch(i, flat_a, x, s.clone())
+            rows2d = game.objective_sample_batch(i, flat_a[:, None], x, s.clone())
+            assert np.array_equal(flat, rows2d)
+        own = x[game.layout.slice_of(i)]
+        one = game.objective_sample_batch(i, own, x, s.clone())[0]
+        assert game.objective_sample(i, x, s) == one
+
+
+def test_ridged_objective_adds_each_rows_own_quadratic(stream):
+    base = BilevelGame(make_bilevel_params())
+    ridged = RidgedGame(base, mu=1.0)
+    x = stream.uniform(-1.0, 1.0, 13)
+    own = np.array([1.0, 2.0, 3.0])
+    s = stream.derive("ridge")
+    for rows in (own, own[:, None]):
+        plain = base.objective_sample_batch(0, rows, x, s.clone())
+        shifted = ridged.objective_sample_batch(0, rows, x, s.clone())
+        assert np.allclose(shifted - plain, [0.5, 2.0, 4.5])
 
 
 @pytest.mark.parametrize("name", sorted(oracle_cases()))
@@ -194,7 +239,7 @@ def test_batch_of_one_equals_operator_sample(name):
         assert np.array_equal(one[0], game.operator_sample(x, s))
     # rows at stacked points under one noise block equal rows point by point
     pts = np.stack([x, 0.5 * x])
-    noise = game.operator_noise(s, (2, 5))
+    noise = game.draw_noise(s, (2, 5))
     rows = game.operator_rows(pts[:, None, :], noise)
     assert rows.shape == (2, 5, x.size)
     for k in range(2):
