@@ -17,9 +17,11 @@ class RunReport:
     iteration ``recorded_iters[j]``.  ``samples_used`` counts cumulative
     oracle samples spent by the solver (residual evaluation is measurement
     and is never included).  ``residuals`` holds ``(k, estimate, stderr)``
-    tuples at whatever cadence the caller's residual hook chose.  ``wall_ms``
-    is solver time: the clock starts when the report is made and stops
-    while :meth:`note` records and measures.
+    tuples in ``k`` order, at whatever cadence the caller chose: the
+    benchmark runner fills it after the solve from the recorded iterates, and
+    a residual hook passed to the solver (see :meth:`note`) appends to it
+    during the solve.  ``wall_ms`` is solver time: the clock starts when the
+    report is made and stops while :meth:`note` records and measures.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)

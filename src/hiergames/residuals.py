@@ -8,8 +8,10 @@ projected SA recursion the solver uses, repeated over independent streams.
 The repeats run in lockstep as lanes (one vectorized oracle call per step for
 all of them) over noise that each lane pre-draws in chunks from its own
 stream, so every lane draws and computes exactly what it would alone and the
-result does not depend on how many lanes run together.  The
-merged estimate removes the repeat-to-repeat sampling variance from the
+result does not depend on how many lanes run together.  Given many points
+(a run's trajectory), the repeats of all of them run as lanes together, up
+to ``MAX_LANES`` at a time, with the same results as one point at a time.
+The merged estimate removes the repeat-to-repeat sampling variance from the
 squared norm before taking the root: the raw norm of a noisy resolvent
 estimate is biased upward at (and near) a true zero, and the correction is
 what lets the metric report a statistical zero there.
@@ -25,6 +27,7 @@ never charged to a solver's sample count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +39,10 @@ from .solvers.smoothing import SmoothingParams, zsol_solve
 # Noise pre-drawn per lane and chunk, counted as steps x samples x dim: a
 # chunk runs max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim)) steps.
 NOISE_CHUNK_VALUES = 4096
+# Lanes per resolvent_lanes call of a points-form Yosida residual, in whole
+# points (at least one): with the chunk above this bounds the memory held
+# however many points are measured together; 31 points x 3 repeats take one call.
+MAX_LANES = 128
 
 
 @dataclass(frozen=True)
@@ -92,22 +99,26 @@ def chunk_steps(samples_per_step: int, dim: int) -> int:
 
 def resolvent_lanes(
     game: GameOracle,
-    x: np.ndarray,
+    centres: np.ndarray,
     config: ResidualConfig,
     streams: list[RandomStream],
+    first_lane: int = 0,
 ) -> np.ndarray:
-    """One inexact resolvent estimate at ``x`` per stream, shape (lanes, dim).
+    """One inexact resolvent estimate per lane, shape (lanes, dim).
 
-    Lane r runs the solver's projected SA recursion
-    z <- proj(z - (theta/j) (v + (z - x)/lam)) for ``inner_steps`` steps,
-    with v the mean of ``samples_per_step`` operator samples at z, on noise
-    drawn from ``streams[r]`` in the order a sample-at-a-time loop draws it.
+    Lane l runs the solver's projected SA recursion
+    z <- proj(z - (theta/j) (v + (z - c)/lam)) from z = c = ``centres[l]``
+    for ``inner_steps`` steps, with v the mean of ``samples_per_step``
+    operator samples at z, on noise drawn from ``streams[l]`` in the order a
+    sample-at-a-time loop draws it.  Lanes are point-major, ``repeats`` per
+    point, starting at the caller's lane ``first_lane``; a lane that goes
+    non-finite is named by its point and repeat.
     """
     lam, theta, n_steps = config.lam, config.theta, config.inner_steps
     samples = config.samples_per_step
-    chunk = chunk_steps(samples, x.size)
+    chunk = chunk_steps(samples, centres.shape[1])
     project = game.feasible.project
-    z = np.repeat(x[None, :], len(streams), axis=0)
+    z = centres.copy()
     for start in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - start)
         # (steps, lanes, samples, *event): one contiguous block per step.
@@ -116,44 +127,66 @@ def resolvent_lanes(
             j = start + c + 1
             # sum / count is what ndarray.mean computes, without its overhead
             v = game.operator_rows(z[:, None, :], noise[c]).sum(axis=1) / samples
-            u = v + (z - x) / lam
+            u = v + (z - centres) / lam
             z = project(z - (theta / j) * u)
             # A non-finite entry makes the sum non-finite (inf +/- inf is nan);
             # the total of finite lane sums can still overflow, so check per lane.
             if not math.isfinite(z.sum()):
                 finite = np.isfinite(z.sum(axis=1))
                 if not finite.all():
+                    point, repeat = divmod(first_lane + int(np.argmin(finite)), config.repeats)
                     raise NumericError(
-                        f"inner SA of repeat {int(np.argmin(finite))} produced a "
+                        f"inner SA of point {point}, repeat {repeat} produced a "
                         f"non-finite iterate at step {j}"
                     )
     return z
+
+
+def _estimate(x: np.ndarray, reps: np.ndarray, lam: float) -> tuple[float, float]:
+    """Variance-corrected residual at ``x`` from its repeats' resolvent
+    estimates, with a jackknife standard error."""
+    estimate = _corrected_norm(x, reps, lam)
+    r = reps.shape[0]
+    if r == 1:
+        return estimate, 0.0
+    loo = np.array([_corrected_norm(x, np.delete(reps, j, axis=0), lam) for j in range(r)])
+    stderr = math.sqrt((r - 1) / r * float(np.sum((loo - loo.mean()) ** 2)))
+    return estimate, stderr
 
 
 def yosida_residual(
     game: GameOracle,
     x: np.ndarray,
     config: ResidualConfig,
-    stream: RandomStream,
-) -> tuple[float, float]:
+    stream: RandomStream | Sequence[RandomStream],
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Estimate (residual, stderr) at ``x``.
 
     Runs ``repeats`` independent resolvent estimates as lanes on derived
     streams (merge order is fixed by the derivation labels), combines them
     with the variance correction above, and reports a jackknife standard
     error.
+
+    Points form: ``x`` of shape (m, dim) with a sequence of m streams returns
+    the m pairs, running the m x repeats lanes together through
+    :func:`resolvent_lanes`, ``MAX_LANES // repeats`` points (at least one) per
+    call; lane (p, r) draws from ``stream[p].derive(r)``, so each pair is
+    bitwise what the one-point call at ``x[p]`` on ``stream[p]`` returns.
     """
     x = np.asarray(x, dtype=float)
-    reps = resolvent_lanes(game, x, config, [stream.derive(r) for r in range(config.repeats)])
-    estimate = _corrected_norm(x, reps, config.lam)
+    if x.ndim == 1:
+        return yosida_residual(game, x[None, :], config, [stream])[0]
+    if len(stream) != len(x):
+        raise ValueError(f"{len(x)} points need as many streams, got {len(stream)}")
     r = config.repeats
-    if r == 1:
-        return estimate, 0.0
-    loo = np.array(
-        [_corrected_norm(x, np.delete(reps, j, axis=0), config.lam) for j in range(r)]
-    )
-    stderr = math.sqrt((r - 1) / r * float(np.sum((loo - loo.mean()) ** 2)))
-    return estimate, stderr
+    per_call = max(1, MAX_LANES // r)
+    out = []
+    for first in range(0, len(x), per_call):
+        points = x[first:first + per_call]
+        lanes = [s.derive(k) for s in stream[first:first + per_call] for k in range(r)]
+        reps = resolvent_lanes(game, np.repeat(points, r, axis=0), config, lanes, first * r)
+        out += [_estimate(p, reps[i * r:(i + 1) * r], config.lam) for i, p in enumerate(points)]
+    return out
 
 
 def br_residual(

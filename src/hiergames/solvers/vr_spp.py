@@ -104,7 +104,8 @@ def inner_resolvent(
 
     Runs ``n_steps`` projected SA updates z <- proj(z - (theta/j) u) with
     u = v + (z - x_k)/lam and v a fresh operator sample at z.  The Yosida
-    residual runs the same recursion over lanes of mini-batches
+    residual runs the same recursion over lanes of mini-batches, one lane
+    per repeat and point, each with its own centre
     (``residuals.resolvent_lanes``); this scalar loop is the solver's.
     """
     if n_steps < 1:

@@ -358,8 +358,9 @@ def test_c8_smoothing_radius_sweep():
 def test_c9_property_suites():
     results = []
 
-    ok, inst, j = recursion_bound_check(RandomStream(ROOT_SEED).derive("rec"), n_instances=100)
-    results.append(("recursion envelope (100 draws)", ok, f"instance={inst} j={j}"))
+    ok, inst, j, ratio = recursion_bound_check(RandomStream(ROOT_SEED).derive("rec"), n_instances=100)
+    results.append(("recursion envelope (100 draws)", ok,
+                    f"instance={inst} j={j} A/envelope={ratio:.4f}"))
 
     ok, why, t = follower_random_instance_check(
         RandomStream(ROOT_SEED).derive("lcp"), n_instances=1000
@@ -389,14 +390,15 @@ def test_c9_property_suites():
     slope = float(np.polyfit(np.log(batches), np.log(errs), 1)[0])
     results.append(("zeroth-order estimator rate", slope <= -0.4, f"slope={slope:.2f}"))
 
-    ok, t, mean = sandwich_check(game, sp, RandomStream(ROOT_SEED).derive("sand"), n_points=50)
-    results.append(("smoothing sandwich (50 points)", ok, f"point={t} mean={mean:.2e}"))
+    ok, t, mean, slack = sandwich_check(game, sp, RandomStream(ROOT_SEED).derive("sand"), n_points=50)
+    results.append(("smoothing sandwich (50 points)", ok,
+                    f"point={t} mean={mean:.2e} slack={slack:.2e}"))
 
     rc = ResidualConfig(lam=0.1, theta=0.2, inner_steps=1500, samples_per_step=8, repeats=3)
     ok, t, gap, allow = lipschitz_pairs_check(
         MlmfCournotGame(make_mlmf_params()), RandomStream(ROOT_SEED).derive("lip"), rc, n_pairs=50
     )
-    results.append(("residual Lipschitz (50 pairs)", ok, f"gap={gap:.2e} allow={allow:.2e}"))
+    results.append(("residual Lipschitz (50 pairs)", ok, f"pair={t} gap={gap:.2e} allow={allow:.2e}"))
 
     ok, val, _ = monotone_pair_check(
         MlmfCournotGame(make_mlmf_params()), RandomStream(ROOT_SEED).derive("monm"), n_pairs=100

@@ -348,6 +348,97 @@ def test_benchmark_trace_installs():
     assert proc.stdout.strip() == "installed"
 
 
+def _residuals_through_a_hook(spec, root_seed):
+    """``report.residuals`` of ``run_single`` computed the way the runner
+    used to: a residual hook the solver calls on every recorded iterate."""
+    from hiergames import RandomStream
+    from hiergames.bench import runner
+    from hiergames.bench.spec import build_run
+    from hiergames.residuals import BrResidualConfig, br_residual, yosida_residual
+    from hiergames.solvers import sg, vr_spp
+    from hiergames.solvers.smoothing import arspbr_run
+
+    root = RandomStream(root_seed)
+    plan = build_run(spec, root.derive(spec.name).derive("params"), runner.build_game)
+    game, cfg = plan.game, plan.residual
+    run_stream = root.derive(spec.sweep_key(0)).derive(spec.seeds[0])
+    eval_root = run_stream.derive("eval")
+
+    def hook(k, x):
+        final = k == plan.iters
+        if not (final if plan.cadence == "final" else final or k % plan.cadence == 0):
+            return None
+        if isinstance(cfg, BrResidualConfig):
+            sm = plan.smoothing
+            steps = sm.inner_steps(max(plan.iters, 1)) + cfg.extra_steps
+            eval_zeta = cfg.eval_zeta_scale * sm.zeta
+            return br_residual(game, sm, x, steps, eval_root.derive(k), eval_zeta=eval_zeta), 0.0
+        return yosida_residual(game, x, cfg, eval_root.derive(k))
+
+    x0 = runner._draw_x0(game, spec, run_stream.derive("x0"))
+    solve = run_stream.derive("solve")
+    if isinstance(plan.solver, vr_spp.VrSppConfig):
+        return vr_spp.run(game, plan.solver, x0, solve, hook).residuals
+    if isinstance(plan.solver, sg.SgConfig):
+        return sg.run(game, plan.solver, x0, solve, hook).residuals
+    return arspbr_run(game, plan.smoothing, plan.solver, x0, solve, hook).residuals
+
+
+@pytest.mark.parametrize("raw", [
+    # 31 points x 5 repeats: more lanes than one resolvent_lanes call takes
+    tiny_spec(budget={"outer_iters": 30}, seeds=[0],
+              residual={"kind": "yosida", "lam": 0.1, "theta": 0.2, "inner_steps": 100,
+                        "samples_per_step": 4, "repeats": 5, "cadence": 1}),
+    # the final iterate, 1100, is due apart from the cadence
+    tiny_arspbr_spec(budget={"outer_iters": 1100}, seeds=[0],
+                     solver={"kind": "arspbr", "smoothing": {"eta": 0.1, "zeta": 0.01},
+                             "record_every": 100},
+                     residual={"kind": "br", "extra_steps": 2, "eval_zeta_scale": 0.2,
+                               "cadence": 500}),
+], ids=["vr-spp-cadence-1", "arspbr-cadence-500"])
+def test_residual_work_stays_inside_the_timed_residual_calls(monkeypatch, raw):
+    # The benchmark charges a run's time to measurement only inside
+    # runner.yosida_residual and runner.br_residual; residual work anywhere
+    # else would count as solver time.
+    from hiergames import residuals
+    from hiergames.bench import runner
+
+    spec = spec_from_dict(raw).resolved(0)
+    expected = _residuals_through_a_hook(spec, root_seed=3)
+    depth, calls, inner = [0], [], {"inside": 0, "outside": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            inner["inside" if depth[0] else "outside"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runner, "yosida_residual", counted(runner.yosida_residual))
+    monkeypatch.setattr(runner, "br_residual", counted(runner.br_residual))
+    monkeypatch.setattr(residuals, "resolvent_lanes", watched(residuals.resolvent_lanes))
+    monkeypatch.setattr(residuals, "zsol_solve", watched(residuals.zsol_solve))
+    rows, report, _ = runner.run_single(spec, spec.sweep_key(0), 0, root_seed=3)
+
+    assert inner["outside"] == 0 and inner["inside"] > 0, inner
+    if raw["residual"]["kind"] == "yosida":
+        assert calls == ["yosida_residual"]  # all 31 points in one call
+        assert len(expected) == 31
+    else:
+        assert calls == ["br_residual"] * 4 and [k for k, _, _ in expected] == [0, 500, 1000, 1100]
+    assert report.residuals == expected
+    assert [(r.iter, r.residual, r.residual_stderr) for r in rows] == expected
+
+
 def test_sweep_path_head_is_validated():
     bad = tiny_spec(sweep={"path": "universe.n", "values": [1]})
     assert any("sweep.path" in p for p in validate_spec(bad))

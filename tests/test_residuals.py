@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -58,18 +59,24 @@ def test_residual_statistically_zero_at_direct_equilibrium(stream):
 
 
 def lipschitz_pairs_check(game, stream, cfg, n_pairs=50, lo=0.0, hi=2.0):
-    """|res(x) - res(x')| <= ||x - x'|| / lam + 6 combined stderr."""
+    """|res(x) - res(x')| <= ||x - x'|| / lam + 6 combined stderr.  All
+    2 n_pairs points are measured in one stacked call.  Returns (ok, pair,
+    gap, allowance) at the first violation, or else at the pair with the
+    least headroom."""
     n = game.layout.total_dim
+    pairs = [stream.derive(t) for t in range(n_pairs)]
+    points = np.array([s.uniform(lo, hi, n) for s in pairs for _ in range(2)])
+    res = yosida_residual(game, points, cfg, [s.derive(lab) for s in pairs for lab in ("rx", "ry")])
+    worst, headroom = (-1, 0.0, 0.0), math.inf
     for t in range(n_pairs):
-        s = stream.derive(t)
-        x = s.uniform(lo, hi, n)
-        y = s.uniform(lo, hi, n)
-        rx, ex = yosida_residual(game, x, cfg, s.derive("rx"))
-        ry, ey = yosida_residual(game, y, cfg, s.derive("ry"))
-        allowance = np.linalg.norm(x - y) / cfg.lam + 6.0 * np.hypot(ex, ey)
-        if abs(rx - ry) > allowance:
-            return False, t, abs(rx - ry), allowance
-    return True, -1, 0.0, 0.0
+        (rx, ex), (ry, ey) = res[2 * t], res[2 * t + 1]
+        allowance = np.linalg.norm(points[2 * t] - points[2 * t + 1]) / cfg.lam + 6.0 * np.hypot(ex, ey)
+        gap = abs(rx - ry)
+        if gap > allowance:
+            return False, t, gap, allowance
+        if allowance - gap < headroom:
+            worst, headroom = (t, gap, allowance), allowance - gap
+    return (True, *worst)
 
 
 def test_residual_lipschitz_pairs(stream):
@@ -119,11 +126,11 @@ def test_br_residual_small_at_smoothed_fixed_point(stream):
 # ------------------------------------------------------ lanes vs. repeat loop
 
 
-def sequential_resolvents(game, x, config, streams):
-    """Reference for ``resolvent_lanes``: one resolvent loop per repeat, run
+def sequential_resolvents(game, centres, config, streams, first_lane=0):
+    """Reference for ``resolvent_lanes``: one resolvent loop per lane, run
     one after another with one oracle call and one draw per step."""
     out = []
-    for stream in streams:
+    for x, stream in zip(centres, streams):
         z = x.copy()
         for j in range(1, config.inner_steps + 1):
             if config.samples_per_step == 1:
@@ -138,6 +145,13 @@ def sequential_resolvents(game, x, config, streams):
 CASES = oracle_cases()
 
 
+def nearby_points(game, x, m, stream):
+    """``m`` feasible points around ``x`` (the first is ``x`` itself)."""
+    shifts = stream.uniform(-0.1, 0.1, (m, x.size))
+    shifts[0] = 0.0
+    return game.feasible.project(x + shifts)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("repeats", [1, 2, 5])
 @pytest.mark.parametrize("samples", [1, 3, 16])
@@ -149,6 +163,18 @@ def test_lanes_match_sequential_repeats_bitwise(monkeypatch, name, repeats, samp
     cfg = ResidualConfig(lam=0.1, theta=0.2, inner_steps=n_steps, samples_per_step=samples,
                          repeats=repeats)
     stream = RandomStream(99).derive(name)
+    # Points form: each point's pair is bitwise its own one-point call.  The
+    # last case has more lanes than one resolvent_lanes call takes; the split
+    # does not depend on the cap's value, and a cap of 4 lanes keeps every
+    # point's own call cheap.
+    for m, cap in ((1, None), (2, None), (7, None), (5, 4)):
+        xs = nearby_points(game, x, m, stream.derive("points"))
+        streams = [stream.derive(p) for p in range(m)]
+        with monkeypatch.context() as patch:
+            if cap is not None:
+                patch.setattr(residuals, "MAX_LANES", cap)
+            stacked = yosida_residual(game, xs, cfg, streams)
+        assert stacked == [yosida_residual(game, p, cfg, s) for p, s in zip(xs, streams)], m
     lanes = yosida_residual(game, x, cfg, stream)
     monkeypatch.setattr(residuals, "resolvent_lanes", sequential_resolvents)
     assert yosida_residual(game, x, cfg, stream) == lanes
@@ -160,6 +186,24 @@ def test_lanes_reject_nan_and_name_the_step(stream):
         yosida_residual(LinearToy(offset=np.nan), np.zeros(1), cfg, stream)
     with pytest.raises(NumericError, match="step 1"):
         yosida_residual(LinearToy(slope=np.inf), np.ones(1), cfg, stream)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the lanes overflow on purpose
+def test_non_finite_lane_names_point_repeat_and_step(stream):
+    # slope 1e308 overflows at step 2 from x = 1 and stays finite for two
+    # steps from a subnormal x, so only the lanes at x = 1 go non-finite.
+    game = LinearToy(slope=1e308)
+    cfg = ResidualConfig(lam=1.0, theta=1.0, inner_steps=2, repeats=2)
+    tiny = 1e-310
+    m = residuals.MAX_LANES // 2 + 3  # the point at x = 1 is in the second resolvent_lanes call
+    xs = np.full((m, 1), tiny)
+    xs[-2] = 1.0
+    streams = [stream.derive(p) for p in range(m)]
+    with pytest.raises(NumericError, match=f"point {m - 2}, repeat 0 .* step 2$"):
+        yosida_residual(game, xs, cfg, streams)
+    centres = np.array([[tiny], [tiny], [tiny], [1.0]])
+    with pytest.raises(NumericError, match="point 1, repeat 1 .* step 2$"):
+        residuals.resolvent_lanes(game, centres, cfg, [stream.derive(r) for r in range(4)])
 
 
 def test_constrained_residual_memory_stays_flat(stream):
@@ -175,3 +219,21 @@ def test_constrained_residual_memory_stays_flat(stream):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_stacked_residual_memory_does_not_grow_with_points(stream):
+    # 300 points x 5 repeats are 1500 lanes; run at once, they would peak at
+    # about 50 MB.  Lanes run MAX_LANES at a time instead: about 6.4 MB from
+    # 26 points on.
+    game = ConstrainedMlmfCournotGame(make_mlmf_params(caps=5.0))
+    m = 300
+    xs = np.concatenate([stream.uniform(0.0, 1.0, (m, 13)), np.zeros((m, 13))], axis=1)
+    cfg = ResidualConfig(lam=0.1, theta=0.2, inner_steps=20, samples_per_step=16, repeats=5)
+    streams = [stream.derive(p) for p in range(m)]
+    tracemalloc.start()
+    try:
+        yosida_residual(game, xs, cfg, streams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak

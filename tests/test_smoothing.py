@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -224,8 +226,11 @@ def test_arspbr_determinism():
 
 
 def sandwich_check(game, sp, stream, n_points=50, count=4000):
-    """f <= f_eta <= f + eta * (empirical subgradient bound), statistically."""
+    """f <= f_eta <= f + eta * (empirical subgradient bound), statistically.
+    Returns (ok, point, mean gap, slack) at the first violation, or else at
+    the point with the least slack to either side of the band."""
     n = game.layout.total_dim
+    worst = (-1, 0.0, math.inf)
     for t in range(n_points):
         s = stream.derive(t)
         i = int(s.uniform(0, game.layout.n_players))
@@ -241,15 +246,19 @@ def sandwich_check(game, sp, stream, n_points=50, count=4000):
         grad_bound = np.abs(
             game.operator_sample_batch(x, 500, s.derive("g"))[:, i]
         ).max() + sp.eta * 10.0
-        if mean < -3.0 * se or mean > sp.eta * grad_bound + 3.0 * se:
-            return False, t, mean
-    return True, -1, 0.0
+        lower, upper = -3.0 * se, sp.eta * grad_bound + 3.0 * se
+        slack = min(mean - lower, upper - mean)
+        if mean < lower or mean > upper:
+            return False, t, mean, slack
+        if slack < worst[2]:
+            worst = (t, mean, slack)
+    return (True, *worst)
 
 
 def test_smoothing_sandwich_bound(stream):
     game = BilevelGame(make_bilevel_params())
-    ok, t, mean = sandwich_check(game, SmoothingParams(eta=0.1), stream)
-    assert ok, f"point {t} violated the sandwich bound ({mean})"
+    ok, t, mean, slack = sandwich_check(game, SmoothingParams(eta=0.1), stream)
+    assert ok, f"point {t} violated the sandwich bound ({mean}, slack {slack})"
 
 
 def test_best_response_proximity_in_radius():

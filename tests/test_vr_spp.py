@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,9 @@ def recursion_bound_check(stream, n_instances=100, horizon=10_000):
     """Scalar recursion A_{j+1} = (1 - 2 c theta / j) A_j + (theta/j)^2 M^2/2,
     started at J = max(1, ceil(2 c theta)), stays under the closed-form
     envelope (M^2 theta^2 / (2 (2 c theta - 1)) + J (A_start + B M^2)) / j
-    with B = theta^2 pi^2 / 12."""
+    with B = theta^2 pi^2 / 12.  Returns (ok, instance, j, A_j / envelope)
+    at the first violation, or else where that ratio peaks."""
+    worst = (-1, -1, -math.inf)
     for t in range(n_instances):
         s = stream.derive(t)
         c = s.uniform(0.2, 5.0)
@@ -167,11 +171,13 @@ def recursion_bound_check(stream, n_instances=100, horizon=10_000):
         for j in range(start, horizon):
             bound = num / j
             if a > bound * (1 + 1e-12):
-                return False, t, j
+                return False, t, j, a / bound
+            if a > worst[2] * bound:
+                worst = (t, j, a / bound)
             a = (1 - 2 * c * theta / j) * a + (theta / j) ** 2 * big_m**2 / 2
-    return True, -1, -1
+    return (True, *worst)
 
 
 def test_recursion_envelope(stream):
-    ok, inst, j = recursion_bound_check(stream)
-    assert ok, f"instance {inst} violated the envelope at j={j}"
+    ok, inst, j, ratio = recursion_bound_check(stream)
+    assert ok, f"instance {inst} violated the envelope at j={j} (A_j / envelope {ratio})"
