@@ -7,7 +7,6 @@ from .games.base import (
     PlayerLayout,
     RidgedGame,
     UnsupportedCaseError,
-    estimate_mean_operator,
 )
 from .report import RunReport
 from .rng import RandomStream
@@ -21,5 +20,4 @@ __all__ = [
     "RidgedGame",
     "RunReport",
     "UnsupportedCaseError",
-    "estimate_mean_operator",
 ]

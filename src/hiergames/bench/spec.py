@@ -270,7 +270,7 @@ def _game(problems: list[str], game_cfg: dict[str, Any], stream, make_game) -> G
         return None
     try:
         return make_game(game_cfg, stream)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         problems.append(f"game: {err}")
         return None
 

@@ -1,8 +1,7 @@
-from .base import FeasibleSet, GameOracle, PlayerLayout, RidgedGame, estimate_mean_operator
-from .bilevel import BilevelGame, BilevelParams, direct_equilibrium, lower_level_solution
+from .base import FeasibleSet, GameOracle, PlayerLayout, RidgedGame
+from .bilevel import BilevelGame, BilevelParams, direct_equilibrium
 from .cournot import (
     ConstrainedMlmfCournotGame,
-    DualPoint,
     FollowerSolution,
     MlmfCournotGame,
     MlmfParams,
@@ -13,7 +12,6 @@ __all__ = [
     "BilevelGame",
     "BilevelParams",
     "ConstrainedMlmfCournotGame",
-    "DualPoint",
     "FeasibleSet",
     "FollowerSolution",
     "GameOracle",
@@ -22,7 +20,5 @@ __all__ = [
     "PlayerLayout",
     "RidgedGame",
     "direct_equilibrium",
-    "estimate_mean_operator",
     "follower_equilibrium",
-    "lower_level_solution",
 ]

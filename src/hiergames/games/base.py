@@ -199,24 +199,6 @@ class GameOracle:
         return f[:count], f[count:]
 
 
-def estimate_mean_operator(
-    game: GameOracle, x: np.ndarray, n_samples: int, stream: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo estimate of the mean operator at ``x``.
-
-    Returns (mean, per-coordinate standard error).  Diagnostic helper; the
-    solvers themselves never average over frozen sample sets.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    samples = game.operator_sample_batch(np.asarray(x, float), n_samples, stream)
-    mean = samples.mean(axis=0)
-    if n_samples == 1:
-        return mean, np.zeros_like(mean)
-    stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, stderr
-
-
 class RidgedGame(GameOracle):
     """Wraps a game, adding ``mu * x`` to the operator (and the matching
     quadratic to objectives).  Used to build strongly monotone synthetic

@@ -93,27 +93,13 @@ class BilevelParams:
         return bool(np.allclose(self.kink_slopes, self.bound_slope, rtol=0, atol=0))
 
 
-def lower_level_solution(params: BilevelParams, i: int, x_i: float) -> float:
-    """Closed-form follower state max(slope_i x / q_i, bound_i x)."""
-    return float(max(params.kink_slopes[i] * x_i, params.bound_slope[i] * x_i))
-
-
-def lower_level_subgradient(params: BilevelParams, i: int, x_i: float) -> float:
-    """Slope of the strictly larger branch; ties take slope_i / q_i."""
-    beta = params.kink_slopes[i]
-    lam = params.bound_slope[i]
-    if beta * x_i > lam * x_i:
-        return float(beta)
-    if lam * x_i > beta * x_i:
-        return float(lam)
-    return float(beta)
-
-
 def _lower_values(params: BilevelParams, x: np.ndarray) -> np.ndarray:
+    """Closed-form follower states max(slope_i x_i / q_i, bound_i x_i)."""
     return np.maximum(params.kink_slopes * x, params.bound_slope * x)
 
 
 def _lower_slopes(params: BilevelParams, x: np.ndarray) -> np.ndarray:
+    """Slope of the larger branch at each x_i; ties take slope_i / q_i."""
     beta = params.kink_slopes
     lam = params.bound_slope
     return np.where(beta * x >= lam * x, beta, lam)

@@ -191,22 +191,6 @@ class MlmfCournotGame(GameOracle):
         return -price * own + 0.5 * self.params.leader_costs[i] * own**2
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """Primal-dual pair for the expectation-constrained market."""
-
-    x: np.ndarray
-    p: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])
-
-    @staticmethod
-    def split(z: np.ndarray) -> "DualPoint":
-        n = z.size // 2
-        return DualPoint(x=np.asarray(z[:n], float), p=np.asarray(z[n:], float))
-
-
 class ConstrainedMlmfCournotGame(GameOracle):
     """Primal-dual oracle: z = [x, p] on R_+^{2N}.
 

@@ -16,12 +16,11 @@ class RunReport:
     aligned lists: entry ``j`` describes the iterate recorded after outer
     iteration ``recorded_iters[j]``.  ``samples_used`` counts cumulative
     oracle samples spent by the solver (residual evaluation is measurement
-    and is never included).  ``residuals`` holds ``(k, estimate, stderr)``
-    tuples in ``k`` order, at whatever cadence the caller chose: the
-    benchmark runner fills it after the solve from the recorded iterates, and
-    a residual hook passed to the solver (see :meth:`note`) appends to it
-    during the solve.  ``wall_ms`` is solver time: the clock starts when the
-    report is made and stops while :meth:`note` records and measures.
+    and is never included).  ``wall_ms`` is the solver time elapsed since
+    the report was made, stamped by :meth:`record`.  ``residuals`` holds
+    ``(k, estimate, stderr)`` tuples in ``k`` order; the solvers leave it
+    empty, and the benchmark runner fills it after the solve from the
+    recorded iterates.
     """
 
     iterates: list[np.ndarray] = field(default_factory=list)
@@ -29,27 +28,13 @@ class RunReport:
     samples_used: list[int] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
     residuals: list[tuple[int, float, float]] = field(default_factory=list)
-    _clock_origin: float = field(
-        default_factory=time.perf_counter, init=False, repr=False, compare=False
-    )
+    _started: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
-    def record(self, k: int, x: np.ndarray, samples: int, wall_ms: float) -> None:
+    def record(self, k: int, x: np.ndarray, samples: int) -> None:
+        self.wall_ms.append((time.perf_counter() - self._started) * 1e3)
         self.iterates.append(np.array(x, copy=True))
         self.recorded_iters.append(int(k))
         self.samples_used.append(int(samples))
-        self.wall_ms.append(float(wall_ms))
-
-    def note(self, k: int, x: np.ndarray, samples: int, residual_hook=None) -> None:
-        """Record iterate ``k``, then call ``residual_hook(k, x)`` if given
-        and keep its ``(estimate, stderr)`` unless it returns None.  The
-        solver clock is paused for the whole call."""
-        paused = time.perf_counter()
-        self.record(k, x, samples, (paused - self._clock_origin) * 1e3)
-        if residual_hook is not None:
-            res = residual_hook(k, x)
-            if res is not None:
-                self.residuals.append((k, float(res[0]), float(res[1])))
-        self._clock_origin += time.perf_counter() - paused
 
     def validate(self) -> None:
         n = len(self.iterates)

@@ -102,11 +102,8 @@ class RandomStream:
             norms = np.linalg.norm(v, axis=1)
         return v / norms[:, None]
 
-    def unit_ball(self, dim: int) -> np.ndarray:
-        """Uniform point in the closed unit ball in R^dim."""
-        return self.unit_ball_batch(dim, 1)[0]
-
     def unit_ball_batch(self, dim: int, count: int) -> np.ndarray:
+        """``count`` uniform points in the closed unit ball in R^dim."""
         sphere = self.unit_sphere_batch(dim, count)
         radii = self.generator.uniform(0.0, 1.0, count) ** (1.0 / dim)
         return sphere * radii[:, None]

@@ -36,7 +36,6 @@ def run(
     config: SgConfig,
     x0: np.ndarray,
     stream: RandomStream,
-    residual_hook=None,
 ) -> RunReport:
     """x_{k+1} = proj(x_k - alpha_k v_k), alpha_k = alpha0 / sqrt(k).
 
@@ -48,7 +47,7 @@ def run(
     if not game.feasible.contains(x):
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
-    report.note(0, x, 0, residual_hook)
+    report.record(0, x, 0)
     alpha0 = config.alpha0
     project = game.feasible.project
     sample = game.operator_sample
@@ -58,6 +57,6 @@ def run(
         if not math.isfinite(x.sum()):
             raise NumericError(f"subgradient iterate became non-finite at step {k}")
         if k % config.record_every == 0 or k == config.total_iters:
-            report.note(k, x, k, residual_hook)
+            report.record(k, x, k)
     report.validate()
     return report

@@ -89,22 +89,6 @@ def zsol_contraction_factor(strong_convexity: float, smoothness: float, zeta: fl
     return 1.0 - 2.0 * strong_convexity * zeta + 2.0 * zeta**2 * smoothness**2
 
 
-def smoothed_value_sample(
-    game: GameOracle,
-    params: SmoothingParams,
-    i: int,
-    v_i: np.ndarray,
-    x: np.ndarray,
-    stream: RandomStream,
-) -> float:
-    """One realization of player i's smoothed objective at own-variable v_i:
-    a uniform ball perturbation of radius eta plus one noise draw."""
-    n_i = game.layout.dims[i]
-    u = stream.unit_ball(n_i)
-    point = np.atleast_1d(np.asarray(v_i, dtype=float)) + params.eta * u
-    return float(game.objective_sample_batch(i, point[None, :], x, stream)[0])
-
-
 def _prox_penalty(own: np.ndarray, center: np.ndarray, weight: float) -> np.ndarray:
     diff = own - center
     return 0.5 * weight * np.sum(diff * diff, axis=1)
@@ -193,7 +177,6 @@ def arspbr_run(
     config: ArspbrConfig,
     x0: np.ndarray,
     stream: RandomStream,
-    residual_hook=None,
 ) -> RunReport:
     """Asynchronous relaxed scheme: at step k, draw player i_k, compute an
     inexact smoothed proximal best response with the step rule's budget, and
@@ -209,7 +192,7 @@ def arspbr_run(
     probs = np.full(n_players, 1.0 / n_players)
     report = RunReport()
     samples = 0
-    report.note(0, x, samples, residual_hook)
+    report.record(0, x, samples)
     for k in range(1, config.outer_iters + 1):
         i_k = stream.choice_index(probs)
         sl = game.layout.slice_of(i_k)
@@ -221,6 +204,6 @@ def arspbr_run(
         x[sl] = (1.0 - gamma) * x[sl] + gamma * best
         samples += evals
         if k % config.record_every == 0 or k == config.outer_iters:
-            report.note(k, x, samples, residual_hook)
+            report.record(k, x, samples)
     report.validate()
     return report

@@ -128,20 +128,19 @@ def run(
     config: VrSppConfig,
     x0: np.ndarray,
     stream: RandomStream,
-    residual_hook=None,
 ) -> RunReport:
     """Outer proximal-point loop; deterministic given (config, stream).
 
-    ``residual_hook(k, x)`` is called on every recorded iterate and may
-    return ``(estimate, stderr)`` or None; hook cadence and sampling budget
-    are the caller's business and are excluded from ``samples_used``.
+    Records x_0 and every outer iterate with the solver's cumulative inner
+    samples and elapsed time; residuals are measured afterwards from the
+    recorded iterates (see ``bench.runner``).
     """
     x = np.asarray(x0, dtype=float).copy()
     if not game.feasible.contains(x):
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
     samples = 0
-    report.note(0, x, samples, residual_hook)
+    report.record(0, x, samples)
     for k in range(config.outer_iters):
         n_steps = config.inner_steps(k)
         try:
@@ -149,7 +148,7 @@ def run(
         except NumericError as err:
             raise NumericError(f"outer iteration {k}: {err}") from err
         samples += n_steps
-        report.note(k + 1, x, samples, residual_hook)
+        report.record(k + 1, x, samples)
         if config.max_samples is not None and samples >= config.max_samples:
             break
     report.validate()

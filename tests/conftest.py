@@ -110,6 +110,15 @@ def oracle_cases() -> dict[str, tuple[GameOracle, np.ndarray]]:
     }
 
 
+def mean_operator(game: GameOracle, x: np.ndarray, n_samples: int, stream: RandomStream):
+    """Monte-Carlo mean of the operator at ``x`` from one batched draw, with
+    its per-coordinate standard error (zero for a single sample)."""
+    samples = game.operator_sample_batch(x, n_samples, stream)
+    if n_samples == 1:
+        return samples[0], np.zeros(samples.shape[1])
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+
+
 @pytest.fixture
 def stream() -> RandomStream:
     return RandomStream(12345)

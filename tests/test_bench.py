@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -342,15 +343,18 @@ def test_benchmark_trace_installs():
     root = Path(__file__).resolve().parents[1]
     code = "import tracing; tracing.install(); print('installed')"
     env = {"PYTHONPATH": f"{root / 'src'}:{root / 'perfbench'}", "PATH": ""}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
 
 
-def _residuals_through_a_hook(spec, root_seed):
-    """``report.residuals`` of ``run_single`` computed the way the runner
-    used to: a residual hook the solver calls on every recorded iterate."""
+def _residuals_point_by_point(spec, root_seed):
+    """``report.residuals`` of ``run_single`` computed independently of the
+    runner's batching: a plain solve, then one one-point residual call per
+    due recorded iterate."""
     from hiergames import RandomStream
     from hiergames.bench import runner
     from hiergames.bench.spec import build_run
@@ -363,25 +367,29 @@ def _residuals_through_a_hook(spec, root_seed):
     game, cfg = plan.game, plan.residual
     run_stream = root.derive(spec.sweep_key(0)).derive(spec.seeds[0])
     eval_root = run_stream.derive("eval")
+    x0 = runner._draw_x0(game, spec, run_stream.derive("x0"))
+    solve = run_stream.derive("solve")
+    if isinstance(plan.solver, vr_spp.VrSppConfig):
+        report = vr_spp.run(game, plan.solver, x0, solve)
+    elif isinstance(plan.solver, sg.SgConfig):
+        report = sg.run(game, plan.solver, x0, solve)
+    else:
+        report = arspbr_run(game, plan.smoothing, plan.solver, x0, solve)
 
-    def hook(k, x):
+    out = []
+    for k, x in zip(report.recorded_iters, report.iterates):
         final = k == plan.iters
         if not (final if plan.cadence == "final" else final or k % plan.cadence == 0):
-            return None
+            continue
         if isinstance(cfg, BrResidualConfig):
             sm = plan.smoothing
             steps = sm.inner_steps(max(plan.iters, 1)) + cfg.extra_steps
             eval_zeta = cfg.eval_zeta_scale * sm.zeta
-            return br_residual(game, sm, x, steps, eval_root.derive(k), eval_zeta=eval_zeta), 0.0
-        return yosida_residual(game, x, cfg, eval_root.derive(k))
-
-    x0 = runner._draw_x0(game, spec, run_stream.derive("x0"))
-    solve = run_stream.derive("solve")
-    if isinstance(plan.solver, vr_spp.VrSppConfig):
-        return vr_spp.run(game, plan.solver, x0, solve, hook).residuals
-    if isinstance(plan.solver, sg.SgConfig):
-        return sg.run(game, plan.solver, x0, solve, hook).residuals
-    return arspbr_run(game, plan.smoothing, plan.solver, x0, solve, hook).residuals
+            value = br_residual(game, sm, x, steps, eval_root.derive(k), eval_zeta=eval_zeta)
+            out.append((k, value, 0.0))
+        else:
+            out.append((k, *yosida_residual(game, x, cfg, eval_root.derive(k))))
+    return out
 
 
 @pytest.mark.parametrize("raw", [
@@ -404,7 +412,7 @@ def test_residual_work_stays_inside_the_timed_residual_calls(monkeypatch, raw):
     from hiergames.bench import runner
 
     spec = spec_from_dict(raw).resolved(0)
-    expected = _residuals_through_a_hook(spec, root_seed=3)
+    expected = _residuals_point_by_point(spec, root_seed=3)
     depth, calls, inner = [0], [], {"inside": 0, "outside": 0}
 
     def counted(fn):
@@ -448,8 +456,8 @@ def test_run_report_invariants():
     from hiergames import RunReport
 
     rep = RunReport()
-    rep.record(0, np.zeros(2), 0, 0.0)
-    rep.record(1, np.ones(2), 5, 1.0)
+    rep.record(0, np.zeros(2), 0)
+    rep.record(1, np.ones(2), 5)
     rep.validate()
     assert rep.total_samples == 5
     assert np.array_equal(rep.final_iterate, np.ones(2))
@@ -458,6 +466,31 @@ def test_run_report_invariants():
         rep.validate()
     with pytest.raises(ValueError, match="no residuals"):
         _ = rep.final_residual
+
+
+@pytest.mark.parametrize("solver", ["vr-spp", "sg", "arspbr"])
+def test_wall_ms_is_elapsed_solver_time(solver):
+    import time
+
+    from hiergames import RandomStream
+    from hiergames.solvers import sg, vr_spp
+    from hiergames.solvers.smoothing import ArspbrConfig, SmoothingParams, arspbr_run
+
+    from conftest import LinearToy
+
+    game, x0, stream = LinearToy(slope=1.0), np.array([1.0]), RandomStream(8)
+    started = time.perf_counter()
+    if solver == "vr-spp":
+        schedule = vr_spp.SampleSchedule("geometric-base", 1.5)
+        report = vr_spp.run(game, vr_spp.VrSppConfig(0.1, 0.1, schedule, 8), x0, stream)
+    elif solver == "sg":
+        report = sg.run(game, sg.SgConfig(alpha0=0.1, total_iters=50, record_every=5), x0, stream)
+    else:
+        report = arspbr_run(game, SmoothingParams(), ArspbrConfig(outer_iters=20), x0, stream)
+    elapsed_ms = (time.perf_counter() - started) * 1e3
+    assert len(report.wall_ms) == len(report.iterates) > 2
+    assert all(b >= a for a, b in zip(report.wall_ms, report.wall_ms[1:]))
+    assert 0.0 <= report.wall_ms[0] and report.wall_ms[-1] <= elapsed_ms
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -500,8 +533,9 @@ def _cli(argv):
     return code, err.getvalue()
 
 
-# The six specs the validator accepted before it built the configs: four then
-# crashed `run` with a traceback, two ran with a field ignored or misread.
+# The first six specs the validator accepted before it built the configs:
+# four then crashed `run` with a traceback, two ran with a field ignored or
+# misread.  The last one crashed both commands with a MemoryError traceback.
 REJECTED_SPECS = [
     ("mlmf_rate_polynomial.json", "solver.schedule.kind", "bogus", "solver.schedule.kind:"),
     ("mlmf_rate_polynomial.json", "residual.kind", "br", "residual.kind:"),
@@ -509,6 +543,8 @@ REJECTED_SPECS = [
     ("mlmf_rate_polynomial.json", "solver.lamm", 0.1, "solver.lamm:"),
     ("bilevel_eta_sweep.json", "game.lower_quad", 0, "game.lower_quad:"),
     ("mlmf_sg.json", "budget", {"max_samples": 100}, "budget.max_samples:"),
+    # numpy refuses 10^12 leader costs (7.28 TiB) before allocating any.
+    ("mlmf_sg.json", "sweep", {"path": "game.n_leaders", "values": [10**12]}, "game: Unable"),
 ]
 
 
@@ -517,10 +553,10 @@ def test_validate_rejects_what_run_cannot_execute(tmp_path, file, path, value, n
     spec = _mutated(json.loads((SPEC_DIR / file).read_text()), path, value)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    code, err = _cli(["validate", "--spec", str(spec_path)])
-    assert code == 1 and needle in err and "Traceback" not in err, err
-    code, err = _cli(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
-    assert code == 1 and needle in err and "Traceback" not in err, err
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o"), "--seed", "1"]):
+        code, err = _cli([*argv, "--spec", str(spec_path)])
+        assert code == 1 and err.startswith("validation error:") and needle in err, err
+        assert "Traceback" not in err, err
 
 
 def _paths(node, prefix=""):

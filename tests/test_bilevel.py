@@ -3,17 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hiergames import RidgedGame, UnsupportedCaseError, estimate_mean_operator
+from hiergames import RidgedGame, UnsupportedCaseError
 from hiergames.games.bilevel import (
     BilevelGame,
     BilevelParams,
+    _lower_slopes,
+    _lower_values,
     direct_equilibrium,
-    lower_level_solution,
-    lower_level_subgradient,
 )
 from hiergames.games.cournot import MlmfCournotGame
 
-from conftest import make_bilevel_params, make_mlmf_params
+from conftest import make_bilevel_params, make_mlmf_params, mean_operator
 
 
 def manual_params(d, slope, bound, q=3.0, a_lo=33.0, a_hi=37.0):
@@ -29,24 +29,26 @@ def manual_params(d, slope, bound, q=3.0, a_lo=33.0, a_hi=37.0):
 
 
 def test_lower_level_solution_formula():
-    p = manual_params([1.0], [2.0], [0.5])
-    assert lower_level_solution(p, 0, 1.0) == pytest.approx(2.0 / 3.0)
-    assert lower_level_solution(p, 0, 0.0) == 0.0
+    p = manual_params([1.0, 1.0], [2.0, 2.0], [0.5, 0.5])
+    values = _lower_values(p, np.array([1.0, 0.0]))
+    assert values[0] == pytest.approx(2.0 / 3.0)
+    assert values[1] == 0.0
 
 
 def test_lower_level_coincident_branches_agree():
-    p = manual_params([1.0], [3.0], [1.0])
-    for x in (-2.0, -0.5, 0.0, 0.7, 4.0):
-        assert lower_level_solution(p, 0, x) == pytest.approx(x)
-        assert lower_level_subgradient(p, 0, x) == 1.0
+    xs = np.array([-2.0, -0.5, 0.0, 0.7, 4.0])
+    p = manual_params(np.ones(5), np.full(5, 3.0), np.ones(5))
+    assert np.allclose(_lower_values(p, xs), xs)
+    assert np.array_equal(_lower_slopes(p, xs), np.ones(5))
 
 
 def test_subgradient_picks_steeper_branch_and_tie_break():
-    p = manual_params([1.0], [2.0], [0.5])  # kink slope 2/3 vs bound 1/2
-    assert lower_level_subgradient(p, 0, 1.0) == pytest.approx(2.0 / 3.0)
-    assert lower_level_subgradient(p, 0, -1.0) == pytest.approx(0.5)
+    p = manual_params(np.ones(3), np.full(3, 2.0), np.full(3, 0.5))  # kink slope 2/3 vs bound 1/2
+    slopes = _lower_slopes(p, np.array([1.0, -1.0, 0.0]))
+    assert slopes[0] == pytest.approx(2.0 / 3.0)
+    assert slopes[1] == pytest.approx(0.5)
     # tie at the kink: first-branch slope by convention
-    assert lower_level_subgradient(p, 0, 0.0) == pytest.approx(2.0 / 3.0)
+    assert slopes[2] == pytest.approx(2.0 / 3.0)
 
 
 def test_operator_coincident_is_affine():
@@ -157,7 +159,7 @@ def test_direct_equilibrium_is_stationary(stream):
     params = make_bilevel_params(coincident=True)
     game = BilevelGame(params)
     star = direct_equilibrium(params)
-    mean, se = estimate_mean_operator(game, star, 10**6, stream)
+    mean, se = mean_operator(game, star, 10**6, stream)
     assert np.all(np.abs(mean) <= 3.0 * se)
 
 
@@ -165,7 +167,7 @@ def test_direct_equilibrium_with_ridge(stream):
     params = make_bilevel_params(coincident=True)
     game = RidgedGame(BilevelGame(params), mu=1.0)
     star = direct_equilibrium(params, ridge=1.0)
-    mean, se = estimate_mean_operator(game, star, 10**5, stream)
+    mean, se = mean_operator(game, star, 10**5, stream)
     assert np.all(np.abs(mean) <= 3.0 * se)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hiergames import NumericError
 from hiergames.games.cournot import (
     ConstrainedMlmfCournotGame,
-    DualPoint,
     MlmfCournotGame,
     MlmfParams,
     follower_complementarity,
@@ -160,7 +159,7 @@ def test_constrained_reduces_to_unconstrained_at_zero_multiplier(stream):
     params = make_mlmf_params(caps=5.0)
     con = ConstrainedMlmfCournotGame(params)
     x = stream.uniform(0.0, 1.0, 13)
-    z = DualPoint(x=x, p=np.zeros(13)).concat()
+    z = np.concatenate([x, np.zeros(13)])
     s = stream.derive("crn")
     both = con.operator_sample(z, s.clone())
     plain = con.inner.operator_sample(x, s.clone())

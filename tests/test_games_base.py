@@ -9,12 +9,11 @@ from hiergames import (
     PlayerLayout,
     RandomStream,
     RidgedGame,
-    estimate_mean_operator,
 )
 from hiergames.games.bilevel import BilevelGame
 from hiergames.games.cournot import MlmfCournotGame
 
-from conftest import LinearToy, make_bilevel_params, make_mlmf_params, oracle_cases
+from conftest import LinearToy, make_bilevel_params, make_mlmf_params, mean_operator, oracle_cases
 
 
 def test_layout_slices():
@@ -66,7 +65,7 @@ def test_restrict_projects_player_block():
 def test_estimate_mean_single_sample_equals_draw(stream):
     game = MlmfCournotGame(make_mlmf_params())
     x = np.full(13, 0.3)
-    mean, stderr = estimate_mean_operator(game, x, 1, stream.clone())
+    mean, stderr = mean_operator(game, x, 1, stream.clone())
     assert np.array_equal(mean, game.operator_sample(x, stream.clone()))
     assert np.all(stderr == 0.0)
 
@@ -74,8 +73,8 @@ def test_estimate_mean_single_sample_equals_draw(stream):
 def test_estimate_mean_zero_variance_game():
     game = LinearToy(slope=2.0, offset=1.0)
     x = np.array([1.5])
-    m1, _ = estimate_mean_operator(game, x, 50, RandomStream(1))
-    m2, _ = estimate_mean_operator(game, x, 50, RandomStream(2))
+    m1, _ = mean_operator(game, x, 50, RandomStream(1))
+    m2, _ = mean_operator(game, x, 50, RandomStream(2))
     assert np.array_equal(m1, m2)
     assert m1[0] == pytest.approx(4.0)
 
@@ -84,8 +83,8 @@ def test_estimate_mean_against_large_sample_oracle():
     game = MlmfCournotGame(make_mlmf_params())
     x = np.zeros(13)
     root = RandomStream(99)
-    mean, stderr = estimate_mean_operator(game, x, 20_000, root.derive("small"))
-    oracle, oracle_se = estimate_mean_operator(game, x, 10**6, root.derive("big"))
+    mean, stderr = mean_operator(game, x, 20_000, root.derive("small"))
+    oracle, oracle_se = mean_operator(game, x, 10**6, root.derive("big"))
     combined = np.sqrt(stderr**2 + oracle_se**2)
     assert np.all(np.abs(mean - oracle) <= 3.0 * combined)
 

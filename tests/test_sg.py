@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -35,18 +33,6 @@ def test_record_every_thins_iterates(stream):
     report = run(game, SgConfig(alpha0=0.1, total_iters=10, record_every=4),
                  np.array([1.0]), stream)
     assert report.recorded_iters == [0, 4, 8, 10]
-
-
-def test_wall_time_excludes_residual_hook(stream):
-    # The hook is measurement: 6 calls of 50 ms each must not reach wall_ms.
-    def slow_hook(k, x):
-        time.sleep(0.05)
-        return None
-
-    report = run(LinearToy(slope=1.0), SgConfig(alpha0=0.1, total_iters=5),
-                 np.array([1.0]), stream, slow_hook)
-    assert len(report.wall_ms) == 6
-    assert report.wall_ms[-1] < 50.0
 
 
 def test_determinism_per_seed():

@@ -9,7 +9,6 @@ from hiergames.solvers.smoothing import (
     ArspbrConfig,
     SmoothingParams,
     arspbr_run,
-    smoothed_value_sample,
     zo_gradient_batch,
     zsol_contraction_factor,
     zsol_solve,
@@ -55,14 +54,19 @@ def test_contraction_factor_spot_value():
     assert zsol_contraction_factor(1.0, 5.0, 0.01) == pytest.approx(0.985)
 
 
+def smoothed_values(game, sp, x, count, stream):
+    """``count`` realizations of player 0's smoothed objective at x, from
+    one batched draw: ball perturbations of radius eta, then one noise draw
+    per row (as ``_phi_eta_mc`` below)."""
+    points = x + sp.eta * stream.unit_ball_batch(x.size, count)
+    return game.objective_sample_batch(0, points, x, stream)
+
+
 def test_smoothed_value_abs_at_origin():
     # E |eta u| over the 1-d unit ball is eta / 2.
     game = QuadraticToy(kappa=0.0, abs_weight=1.0)
     sp = SmoothingParams(eta=0.1)
-    s = RandomStream(31)
-    vals = np.array(
-        [smoothed_value_sample(game, sp, 0, np.zeros(1), np.zeros(1), s) for _ in range(10_000)]
-    )
+    vals = smoothed_values(game, sp, np.zeros(1), 10_000, RandomStream(31))
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 0.05) <= 3.5 * se
 
@@ -72,9 +76,7 @@ def test_smoothed_value_vanishing_radius_matches_unsmoothed():
     sp = SmoothingParams(eta=1e-8)
     s = RandomStream(32)
     x = np.array([1.2])
-    smoothed = np.array(
-        [smoothed_value_sample(game, sp, 0, x, x, s.derive(r)) for r in range(10_000)]
-    )
+    smoothed = smoothed_values(game, sp, x, 10_000, s)
     plain = game.objective_sample_batch(0, np.full(10_000, 1.2), x, s.derive("plain"))
     se = np.sqrt(smoothed.var(ddof=1) / smoothed.size + plain.var(ddof=1) / plain.size)
     assert abs(smoothed.mean() - plain.mean()) <= 3.0 * se
@@ -83,11 +85,8 @@ def test_smoothed_value_vanishing_radius_matches_unsmoothed():
 def test_smoothed_value_linear_mean_unchanged():
     game = LinearToy(slope=0.0, offset=2.0)  # objective 2 v
     sp = SmoothingParams(eta=0.3)
-    s = RandomStream(33)
     x = np.array([0.7])
-    vals = np.array(
-        [smoothed_value_sample(game, sp, 0, x, x, s) for _ in range(20_000)]
-    )
+    vals = smoothed_values(game, sp, x, 20_000, RandomStream(33))
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean() - 1.4) <= 3.0 * se
 
@@ -289,8 +288,6 @@ def test_best_response_proximity_in_radius():
 def test_potential_descent_trend(stream):
     game = BilevelGame(make_bilevel_params(n_players=5))
     sp = SmoothingParams()
-    checkpoints = {}
-
     eval_stream = RandomStream(41).derive("pe")
 
     def estimate_potential(x, s, count=3000):
@@ -300,13 +297,13 @@ def test_potential_descent_trend(stream):
             vals[j] = game.potential_sample(x + sp.eta * u[j], s)
         return vals.mean(), vals.std(ddof=1) / np.sqrt(count)
 
-    def hook(k, x):
-        if k >= 100 and k % 50 == 0:
-            checkpoints[k] = estimate_potential(x, eval_stream.derive(k))
-        return None
-
     cfg = ArspbrConfig(outer_iters=600, relaxation="constant", record_every=1)
-    arspbr_run(game, sp, cfg, np.full(5, 0.5), stream.derive("run"), hook)
+    report = arspbr_run(game, sp, cfg, np.full(5, 0.5), stream.derive("run"))
+    checkpoints = {
+        k: estimate_potential(x, eval_stream.derive(k))
+        for k, x in zip(report.recorded_iters, report.iterates)
+        if k >= 100 and k % 50 == 0
+    }
     ks = sorted(checkpoints)
     assert len(ks) >= 8
     for k0, k1 in zip(ks, ks[1:]):

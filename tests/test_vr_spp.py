@@ -126,22 +126,6 @@ def test_run_is_deterministic_per_seed():
     assert rep1.samples_used == rep2.samples_used
 
 
-def test_run_residual_hook_cadence(stream):
-    game = LinearToy(slope=1.0)
-    seen = []
-
-    def hook(k, x):
-        seen.append(k)
-        if k % 2 == 0:
-            return float(abs(x[0])), 0.0
-        return None
-
-    cfg = config(SampleSchedule("geometric", 0.5), outer=4, min_inner_steps=5)
-    report = run(game, cfg, np.array([1.0]), stream, residual_hook=hook)
-    assert seen == [0, 1, 2, 3, 4]
-    assert [k for k, _, _ in report.residuals] == [0, 2, 4]
-
-
 def test_run_max_samples_cutoff(stream):
     game = LinearToy(slope=1.0)
     cfg = config(SampleSchedule("geometric", 0.5), outer=50, min_inner_steps=1,
