@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import json
 import sys
 from pathlib import Path
 
-from ..games.base import NumericError
 from .runner import aggregate_rows, emit_csv, markdown_table, read_csv_rows, run_experiment, write_summary
 from .spec import SpecValidationError, load_spec
 
@@ -48,25 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = load_spec(args.spec)
-    except (SpecValidationError, OSError, json.JSONDecodeError) as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec = load_spec(args.spec)
     if args.jobs < 1:
         print(f"validation error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        aggregates, rows, _reports = run_experiment(spec, root_seed=args.seed, jobs=args.jobs)
-        out = Path(args.out)
-        emit_csv(rows, out / "runs.csv")
-        write_summary(aggregates, out)
-    except SpecValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NumericError, OSError) as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    aggregates, rows, _reports = run_experiment(spec, root_seed=args.seed, jobs=args.jobs)
+    out = Path(args.out)
+    emit_csv(rows, out / "runs.csv")
+    write_summary(aggregates, out)
     print(markdown_table(aggregates), end="")
     failed = [r for r in rows if math.isnan(r.residual)]
     for r in failed:
@@ -76,66 +63,52 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        load_spec(args.spec)
-    except (SpecValidationError, OSError, json.JSONDecodeError) as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    load_spec(args.spec)
     print("ok")
     return EXIT_OK
 
 
-def cmd_tables(args) -> int:
-    in_dir = Path(args.in_dir)
+def _runs_csvs(in_dir: Path) -> list[Path]:
     csvs = sorted(in_dir.glob("**/runs.csv"))
     if not csvs:
-        print(f"validation error: no runs.csv under {in_dir}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        for path in csvs:
-            rows = read_csv_rows(path)
-            print(f"## {path.parent.name}\n")
-            print(markdown_table(aggregate_rows(rows)))
-    except SpecValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise SpecValidationError([f"no runs.csv under {in_dir}"])
+    return csvs
+
+
+def cmd_tables(args) -> int:
+    for path in _runs_csvs(Path(args.in_dir)):
+        rows = read_csv_rows(path)
+        print(f"## {path.parent.name}\n")
+        print(markdown_table(aggregate_rows(rows)))
     return EXIT_OK
 
 
 def cmd_plotdata(args) -> int:
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir) if args.out_dir else in_dir
-    csvs = sorted(in_dir.glob("**/runs.csv"))
-    if not csvs:
-        print(f"validation error: no runs.csv under {in_dir}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        for path in csvs:
-            rows = read_csv_rows(path)
-            groups: dict[tuple[str, int], list] = {}
-            for r in rows:
-                groups.setdefault((r.sweep_key, r.seed), []).append(r)
-            for (key, seed), rs in sorted(groups.items()):
-                safe = key.replace("=", "-").replace(".", "_").replace("/", "_")
-                target = out_dir / f"{path.parent.name}_{safe}_seed{seed}.dat"
-                target.parent.mkdir(parents=True, exist_ok=True)
-                lines = ["# iter residual samples_cum"]
-                lines += [f"{r.iter} {r.residual:.17g} {r.samples_cum}" for r in rs]
-                target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote plot data to {out_dir}")
-    except SpecValidationError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    for path in _runs_csvs(in_dir):
+        groups: dict[tuple[str, int], list] = {}
+        for r in read_csv_rows(path):
+            groups.setdefault((r.sweep_key, r.seed), []).append(r)
+        for (key, seed), rs in sorted(groups.items()):
+            safe = key.replace("=", "-").replace(".", "_").replace("/", "_")
+            target = out_dir / f"{path.parent.name}_{safe}_seed{seed}.dat"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            lines = ["# iter residual samples_cum"]
+            lines += [f"{r.iter} {r.residual:.17g} {r.samples_cum}" for r in rs]
+            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote plot data to {out_dir}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an error becomes an exit code.
+
+    A spec, ``--jobs`` or ``runs.csv`` problem is a validation error (1).
+    A numeric failure, a broken worker pool, overflow, exhausted memory or
+    an I/O error is a runtime error (2).  Anything else is a bug and
+    propagates with its traceback.
+    """
     args = _build_parser().parse_args(argv)
     handler = {
         "run": cmd_run,
@@ -143,7 +116,15 @@ def main(argv=None) -> int:
         "tables": cmd_tables,
         "plotdata": cmd_plotdata,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except SpecValidationError as err:
+        print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (RuntimeError, ArithmeticError, MemoryError, OSError) as err:
+        # RuntimeError covers NumericError and BrokenProcessPool.
+        print(f"runtime error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Each run derives its randomness as (root seed, sweep key, seed value), so
 a whole experiment is reproducible from the CLI seed alone and independent
-runs can execute on a worker pool; results are keyed and sorted so the
+runs can execute on a worker pool; results come back in task order, so the
 output never depends on scheduling order.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,16 +124,14 @@ def run_single(spec: ExperimentSpec, sweep_key: str, seed: int, root_seed: int) 
     return rows, report, eq_dist
 
 
-def _run_job(args) -> tuple[int, int, list[RunRow], float, RunReport | None]:
-    spec_idx_resolved, sweep_idx, seed_idx, seed, sweep_key, root_seed = args
+def _run_job(args) -> tuple[list[RunRow], RunReport | None, float]:
+    spec, sweep_key, seed, root_seed = args
     try:
-        rows, report, eq = run_single(spec_idx_resolved, sweep_key, seed, root_seed)
+        return run_single(spec, sweep_key, seed, root_seed)
     except NumericError:
         # Mark the run failed (NaN residual at iteration -1) instead of
         # aborting the sweep; the CLI turns any failed row into exit code 2.
-        failed = RunRow(sweep_key, seed, -1, float("nan"), float("nan"), 0, 0.0)
-        return sweep_idx, seed_idx, [failed], float("nan"), None
-    return sweep_idx, seed_idx, rows, eq, report
+        return [RunRow(sweep_key, seed, -1, float("nan"), float("nan"), 0, 0.0)], None, float("nan")
 
 
 def run_experiment(
@@ -146,56 +144,23 @@ def run_experiment(
     """
     tasks = []
     for sweep_idx in range(len(spec.sweep_values)):
-        resolved = spec.resolved(sweep_idx)
-        key = spec.sweep_key(sweep_idx)
-        for seed_idx, seed in enumerate(spec.seeds):
-            tasks.append((resolved, sweep_idx, seed_idx, seed, key, root_seed))
+        resolved, key = spec.resolved(sweep_idx), spec.sweep_key(sweep_idx)
+        tasks += [(resolved, key, seed, root_seed) for seed in spec.seeds]
 
-    results: dict[tuple[int, int], tuple[list[RunRow], float, RunReport]] = {}
     # The pool starts all its workers on first submit; never more than runs.
+    # Both maps return results in task order.
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sweep_idx, seed_idx, rows, eq, report in pool.map(_run_job, tasks):
-                results[(sweep_idx, seed_idx)] = (rows, eq, report)
+            results = list(pool.map(_run_job, tasks))
     else:
-        for task in tasks:
-            sweep_idx, seed_idx, rows, eq, report = _run_job(task)
-            results[(sweep_idx, seed_idx)] = (rows, eq, report)
+        results = list(map(_run_job, tasks))
 
-    all_rows: list[RunRow] = []
-    aggregates: list[AggregateRow] = []
-    reports: dict[tuple[str, int], RunReport] = {}
-    for sweep_idx in range(len(spec.sweep_values)):
-        key = spec.sweep_key(sweep_idx)
-        finals, eqs, walls, totals = [], [], [], []
-        for seed_idx, seed in enumerate(spec.seeds):
-            rows, eq, report = results[(sweep_idx, seed_idx)]
-            all_rows.extend(rows)
-            if not rows:
-                raise SpecValidationError([f"run {key}/seed={seed} recorded no residuals"])
-            if report is not None:
-                reports[(key, seed)] = report
-            finals.append(rows[-1].residual)
-            walls.append(rows[-1].wall_ms)
-            totals.append(report.total_samples if report is not None else 0)
-            eqs.append(eq)
-        aggregates.append(_aggregate(key, finals, walls, totals, eqs))
-    return aggregates, all_rows, reports
-
-
-def _aggregate(key: str, finals: list, walls: list, samples: list, eq_dists: list) -> AggregateRow:
-    """Means over the seeds of one sweep point."""
-    res = np.asarray(finals)
-    return AggregateRow(
-        sweep_key=key,
-        n_seeds=len(finals),
-        mean_final_residual=float(res.mean()),
-        residual_std=float(res.std(ddof=1)) if len(finals) > 1 else 0.0,
-        mean_wall_ms=float(np.mean(walls)),
-        mean_samples=float(np.mean(samples)),
-        mean_equilibrium_distance=float(np.mean(eq_dists)),
-    )
+    rows = [row for run_rows, _, _ in results for row in run_rows]
+    runs = [(key, seed) for _, key, seed, _ in tasks]
+    reports = {run: report for run, (_, report, _) in zip(runs, results) if report is not None}
+    eq_dists = {run: eq for run, (_, _, eq) in zip(runs, results)}
+    return aggregate_rows(rows, eq_dists), rows, reports
 
 
 def emit_csv(rows: list[RunRow], path: str | Path) -> None:
@@ -253,23 +218,31 @@ def read_csv_rows(path: str | Path) -> list[RunRow]:
         return rows
 
 
-def aggregate_rows(rows: list[RunRow]) -> list[AggregateRow]:
-    """Recompute per-sweep aggregates from trajectory rows (final iter per
-    (sweep_key, seed))."""
+def aggregate_rows(
+    rows: list[RunRow], eq_dists: dict[tuple[str, int], float] | None = None
+) -> list[AggregateRow]:
+    """Per-sweep aggregates over the final row (highest iter) of each
+    (sweep_key, seed) run, with the run's distance to the exact equilibrium
+    from ``eq_dists`` (NaN when absent)."""
     finals: dict[str, dict[int, RunRow]] = {}
-    order: list[str] = []
     for row in rows:
-        if row.sweep_key not in finals:
-            finals[row.sweep_key] = {}
-            order.append(row.sweep_key)
-        per_seed = finals[row.sweep_key]
+        per_seed = finals.setdefault(row.sweep_key, {})
         if row.seed not in per_seed or row.iter > per_seed[row.seed].iter:
             per_seed[row.seed] = row
+    eq_dists = eq_dists or {}
     out = []
-    for key in order:
-        rows_k = list(finals[key].values())
-        out.append(_aggregate(key, [r.residual for r in rows_k], [r.wall_ms for r in rows_k],
-                              [r.samples_cum for r in rows_k], [float("nan")]))
+    for key, per_seed in finals.items():
+        res = np.array([r.residual for r in per_seed.values()])
+        out.append(AggregateRow(
+            sweep_key=key,
+            n_seeds=len(res),
+            mean_final_residual=float(res.mean()),
+            residual_std=float(res.std(ddof=1)) if len(res) > 1 else 0.0,
+            mean_wall_ms=float(np.mean([r.wall_ms for r in per_seed.values()])),
+            mean_samples=float(np.mean([r.samples_cum for r in per_seed.values()])),
+            mean_equilibrium_distance=float(np.mean(
+                [eq_dists.get((key, seed), float("nan")) for seed in per_seed])),
+        ))
     return out
 
 
@@ -292,13 +265,8 @@ def write_summary(aggregates: list[AggregateRow], out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["sweep_key", "n_seeds", "mean_final_residual", "residual_std",
-             "mean_wall_ms", "mean_samples", "mean_equilibrium_distance"]
-        )
+        writer.writerow([f.name for f in fields(AggregateRow)])
         for a in aggregates:
-            writer.writerow(
-                [a.sweep_key, a.n_seeds, _fmt(a.mean_final_residual), _fmt(a.residual_std),
-                 _fmt(a.mean_wall_ms), _fmt(a.mean_samples), _fmt(a.mean_equilibrium_distance)]
-            )
+            key, n_seeds, *values = astuple(a)
+            writer.writerow([key, n_seeds, *map(_fmt, values)])
     (out / "summary.md").write_text(markdown_table(aggregates), encoding="utf-8")

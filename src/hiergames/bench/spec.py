@@ -32,8 +32,6 @@ TOP_LEVEL_KEYS = ("name", *SECTIONS, "seeds", "sweep")
 DEFAULT_SEEDS = tuple(range(20))
 
 # Solver kind -> (config class, the config fields the spec's budget holds).
-# ``VrSppConfig.max_samples`` is a library-only cutoff: a spec's budget
-# fixes the run length, which the final residual evaluation relies on.
 SOLVERS = {
     "vr-spp": (VrSppConfig, ("outer_iters",)),
     "sg": (SgConfig, ("total_iters",)),
@@ -118,8 +116,13 @@ def _set_path(spec: ExperimentSpec, path: str, value: Any) -> None:
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read and check a spec file; an unreadable, non-UTF-8 or non-JSON
+    file is a :class:`SpecValidationError` like any other problem."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as err:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise SpecValidationError([f"spec: {err}"]) from None
     return spec_from_dict(raw)
 
 
@@ -152,6 +155,8 @@ def validate_spec(raw: dict[str, Any]) -> list[str]:
     seeds = raw.get("seeds", list(DEFAULT_SEEDS))
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) and s >= 0 for s in seeds):
         problems.append("seeds: must be a nonempty list of nonnegative integers")
+    elif len(set(seeds)) < len(seeds):
+        problems.append("seeds: must not repeat a seed")
     shape_problems = [
         f"{section}: must be an object"
         for section in SECTIONS
@@ -170,6 +175,9 @@ def validate_spec(raw: dict[str, Any]) -> list[str]:
         shape_problems.append("sweep.path: must be <game|solver|residual|budget>.<field>")
     elif not isinstance(sweep["values"], list) or not sweep["values"]:
         shape_problems.append("sweep.values: must be a nonempty list")
+    elif len({str(v) for v in sweep["values"]}) < len(sweep["values"]):
+        # Runs and rows are keyed by the sweep key, "<path>=<value>".
+        shape_problems.append("sweep.values: must not repeat a value")
     elif "budgets" in sweep and (
         not isinstance(sweep["budgets"], list)
         or len(sweep["budgets"]) != len(sweep["values"])
@@ -368,7 +376,7 @@ def build_run(
                 problems.append("solver.kind: arspbr needs player objectives, which the "
                                 "multiplier blocks of mlmf-constrained do not have")
         sections = {
-            "solver": (values, _field_names(cls, exclude=(*budget_names, *fixed, "max_samples"))),
+            "solver": (values, _field_names(cls, exclude=(*budget_names, *fixed))),
             "budget": (spec.budget, budget_names),
         }
         config = _make(problems, cls, sections, **fixed)

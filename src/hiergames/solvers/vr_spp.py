@@ -34,7 +34,7 @@ class SampleSchedule:
     geometric-base(r):  N_k = floor(r^(k+1)),    r > 1
 
     Sizes are floored at 1 and capped at ``cap`` to keep geometric rules
-    bounded on long runs.
+    bounded on long runs; a size too large for a float is ``cap``.
     """
 
     kind: str
@@ -56,13 +56,16 @@ class SampleSchedule:
     def size(self, k: int) -> int:
         if k < 0:
             raise ValueError("k must be >= 0")
-        if self.kind == "polynomial":
-            n = math.ceil((k + 1) ** (2.0 * self.param))
-        elif self.kind == "geometric":
-            n = math.floor(self.param ** -(k + 1))
-        else:
-            n = math.floor(self.param ** (k + 1))
-        return max(1, min(int(n), self.cap))
+        try:
+            if self.kind == "polynomial":
+                n = math.ceil((k + 1) ** (2.0 * self.param))
+            elif self.kind == "geometric":
+                n = math.floor(self.param ** -(k + 1))
+            else:
+                n = math.floor(self.param ** (k + 1))
+        except OverflowError:
+            return self.cap
+        return max(1, min(n, self.cap))
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,6 @@ class VrSppConfig:
     schedule: SampleSchedule
     outer_iters: int
     min_inner_steps: int = 10
-    growing_min_steps: bool = False  # floor of min_inner_steps * sqrt(k+1)
-    max_samples: int | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -86,10 +87,7 @@ class VrSppConfig:
             raise ValueError("min_inner_steps must be >= 1")
 
     def inner_steps(self, k: int) -> int:
-        floor = self.min_inner_steps
-        if self.growing_min_steps:
-            floor = int(math.ceil(self.min_inner_steps * math.sqrt(k + 1)))
-        return max(floor, self.schedule.size(k))
+        return max(self.min_inner_steps, self.schedule.size(k))
 
 
 def inner_resolvent(
@@ -149,7 +147,5 @@ def run(
             raise NumericError(f"outer iteration {k}: {err}") from err
         samples += n_steps
         report.record(k + 1, x, samples)
-        if config.max_samples is not None and samples >= config.max_samples:
-            break
     report.validate()
     return report

@@ -268,6 +268,46 @@ def test_cli_run_rejects_missing_spec(tmp_path):
                  "--out", str(tmp_path / "o"), "--seed", "1"]) == 1
 
 
+def test_non_utf8_spec_is_a_validation_error(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b'{"name": "x\xff"}')
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "o"), "--seed", "1"]):
+        code, err = _cli([*argv, "--spec", str(spec_path)])
+        assert code == 1 and err.startswith("validation error:") and "spec: " in err, err
+        assert "Traceback" not in err, err
+
+
+def test_failing_solver_is_a_runtime_error(tmp_path, monkeypatch):
+    from hiergames.solvers import sg
+
+    def overflowing(*args, **kwargs):
+        raise OverflowError("injected")
+
+    monkeypatch.setattr(sg, "run", overflowing)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SPECS["sg"]))
+    code, err = _cli(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert code == 2
+    assert err.count("runtime error:") == 1 and "injected" in err, err
+    assert "Traceback" not in err, err
+
+
+def test_unmapped_exception_propagates(tmp_path, monkeypatch):
+    from hiergames.bench import cli
+
+    class Bug(Exception):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Bug
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(tiny_spec()))
+    with pytest.raises(Bug):
+        main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_run_rejects_jobs_below_one(tmp_path, jobs):
     spec_path = tmp_path / "exp.json"
@@ -332,6 +372,15 @@ def test_bundled_specs_validate():
             assert not problems, f"{name}/{label}: {problems}"
 
 
+def _subprocess_env(*paths):
+    """A bare environment with ``paths`` as PYTHONPATH that passes
+    PYTHONDONTWRITEBYTECODE through."""
+    env = {"PYTHONPATH": ":".join(map(str, paths)), "PATH": ""}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def test_benchmark_trace_installs():
     # The traced benchmark wraps oracle, solver and runner functions by
     # attribute; a renamed or deleted one must fail here, not only under
@@ -342,13 +391,34 @@ def test_benchmark_trace_installs():
 
     root = Path(__file__).resolve().parents[1]
     code = "import tracing; tracing.install(); print('installed')"
-    env = {"PYTHONPATH": f"{root / 'src'}:{root / 'perfbench'}", "PATH": ""}
-    if "PYTHONDONTWRITEBYTECODE" in os.environ:
-        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          env=_subprocess_env(root / "src", root / "perfbench"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "installed"
+
+
+def test_benchmark_setup_probe(tmp_path):
+    # `perfbench/workload.py --setup-only` stops `hiergames run` at its first
+    # call into the runner by raising its own exception through `cli.main`;
+    # a catch-all there would turn every `setup_s` probe into a failure.
+    import subprocess
+    import sys
+    import time
+
+    root = Path(__file__).resolve().parents[1]
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    (specs / "manifest.json").write_text(json.dumps(["tiny"]))
+    (specs / "tiny.json").write_text(json.dumps(tiny_spec(seeds=[0])))
+    result = tmp_path / "result.json"
+    argv = [sys.executable, str(root / "perfbench" / "workload.py"), "--setup-only",
+            "--specs", str(specs), "--out", str(tmp_path / "out"), "--seed", "1",
+            "--t-spawn", repr(time.monotonic()), "--result", str(result)]
+    proc = subprocess.run(argv, cwd=root, env=_subprocess_env(root / "src"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(result.read_text())["metrics"]["setup_s"] > 0
 
 
 def _residuals_point_by_point(spec, root_seed):
@@ -535,7 +605,8 @@ def _cli(argv):
 
 # The first six specs the validator accepted before it built the configs:
 # four then crashed `run` with a traceback, two ran with a field ignored or
-# misread.  The last one crashed both commands with a MemoryError traceback.
+# misread.  The seventh crashed both commands with a MemoryError traceback.
+# The last two repeated a run and wrote its rows twice.
 REJECTED_SPECS = [
     ("mlmf_rate_polynomial.json", "solver.schedule.kind", "bogus", "solver.schedule.kind:"),
     ("mlmf_rate_polynomial.json", "residual.kind", "br", "residual.kind:"),
@@ -545,6 +616,8 @@ REJECTED_SPECS = [
     ("mlmf_sg.json", "budget", {"max_samples": 100}, "budget.max_samples:"),
     # numpy refuses 10^12 leader costs (7.28 TiB) before allocating any.
     ("mlmf_sg.json", "sweep", {"path": "game.n_leaders", "values": [10**12]}, "game: Unable"),
+    ("mlmf_sg.json", "seeds", [0, 0], "seeds:"),
+    ("bilevel_arspbr.json", "sweep.values", ["power", "power"], "sweep.values:"),
 ]
 
 
