@@ -23,8 +23,17 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (argparse's 2 is the runtime code); the
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"validation error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hiergames", description=__doc__)
+    parser = _Parser(prog="hiergames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute an experiment spec")
@@ -104,7 +113,8 @@ def cmd_plotdata(args) -> int:
 def main(argv=None) -> int:
     """Run one command; the only place where an error becomes an exit code.
 
-    A spec, ``--jobs`` or ``runs.csv`` problem is a validation error (1).
+    A spec, ``--jobs`` or ``runs.csv`` problem is a validation error (1);
+    so is a usage error, which the parser reports by exiting with 1.
     A numeric failure, a broken worker pool, overflow, exhausted memory or
     an I/O error is a runtime error (2).  Anything else is a bug and
     propagates with its traceback.

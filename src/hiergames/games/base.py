@@ -6,7 +6,8 @@ objective are functions of one random variable: ``draw_noise`` draws its
 realizations for a block of samples, and ``operator_rows`` (the follower
 problem is solved internally) and ``objective_rows`` evaluate row-wise under
 given noise.  Callers that pass the same noise array share it (common random
-numbers); a block drawn up front replays sample-at-a-time draws.  The
+numbers); a block drawn up front replays sample-at-a-time draws, which is
+how the solvers and the residuals step (in chunks of ``chunk_steps``).  The
 ``*_sample*`` methods draw, then evaluate.  Normal-cone elements of the
 feasible set are never materialized in samples; solvers realize them by
 projecting.  Implementations must be immutable after construction and pure
@@ -21,6 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import RandomStream
+
+# Noise pre-drawn per loop (or lane) and chunk, counted as steps x samples x
+# dim: a chunk runs max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim)) steps.
+NOISE_CHUNK_VALUES = 4096
+
+
+def chunk_steps(samples_per_step: int, dim: int) -> int:
+    """Steps per pre-drawn noise chunk (see ``NOISE_CHUNK_VALUES``)."""
+    return max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim))
 
 
 class NumericError(RuntimeError):
@@ -130,8 +140,10 @@ class GameOracle:
 
     Subclasses set ``layout`` and ``feasible`` and implement ``draw_noise``,
     ``operator_rows`` and, where players have objectives,
-    ``objective_rows``; they may override ``operator_sample`` with a scalar
-    fast path that draws and computes exactly what a batch of one does.
+    ``objective_rows``.  These are the only formulas a game has: the
+    solvers and the residuals pre-draw with ``draw_noise`` and evaluate
+    with ``operator_rows``, and every ``*_sample*`` method below is built
+    on them.
     """
 
     layout: PlayerLayout
@@ -211,9 +223,6 @@ class RidgedGame(GameOracle):
         self.mu = float(mu)
         self.layout = base.layout
         self.feasible = base.feasible
-
-    def operator_sample(self, x, stream):
-        return self.base.operator_sample(x, stream) + self.mu * np.asarray(x, float)
 
     def draw_noise(self, stream, shape):
         return self.base.draw_noise(stream, shape)

@@ -32,7 +32,6 @@ class BilevelParams:
     bound_slope: np.ndarray    # slope of the lower-level bound, l_i
     a_lo: float
     a_hi: float
-    nonneg: bool = False       # strategy sets default to all of R
 
     def __post_init__(self):
         for name in ("curvature", "lower_quad", "lower_slope", "bound_slope"):
@@ -110,13 +109,7 @@ class BilevelGame(GameOracle):
         self.params = params
         n = params.n_players
         self.layout = PlayerLayout.scalar_players(n)
-        self.feasible = FeasibleSet.nonneg(n) if params.nonneg else FeasibleSet.free(n)
-
-    def operator_sample(self, x, stream):
-        p = self.params
-        x = np.asarray(x, dtype=float)
-        a = stream.generator.uniform(p.a_lo, p.a_hi, p.n_players)
-        return self.operator_rows(x, a)
+        self.feasible = FeasibleSet.free(n)
 
     def draw_noise(self, stream, shape):
         """One intercept per player per sample, drawn jointly so that

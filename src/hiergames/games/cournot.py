@@ -143,35 +143,22 @@ class MlmfCournotGame(GameOracle):
         self.layout = PlayerLayout.scalar_players(params.n_leaders)
         self.feasible = FeasibleSet.nonneg(params.n_leaders)
         b = params.demand_slope
-        # Follower aggregates are fixed by the costs, so precompute them for
-        # the per-sample paths (one operator draw sits in every inner step).
-        self._wsum = float((1.0 / (params.follower_costs + b)).sum())
-        self._shrink = -b * self._wsum / (1.0 + b * self._wsum)
-
-    def operator_sample(self, x, stream):
-        p = self.params
-        a = stream.generator.uniform(p.a_lo, p.a_hi)
-        return self.operator_value(np.asarray(x, dtype=float), a)
+        # Follower aggregates are fixed by the costs, so precompute them, and
+        # the coefficient rows C + (1 + dY/dX) b of the operator with the
+        # followers active and inactive (dY/dX = 0) for one-point calls.
+        wsum = float((1.0 / (params.follower_costs + b)).sum())
+        self._denom = 1.0 + b * wsum
+        self._shrink = -b * wsum / self._denom
+        self._coef_active = params.leader_costs + (1.0 + self._shrink) * b
+        self._coef_inactive = params.leader_costs + b
 
     def operator_value(self, x: np.ndarray, a: float) -> np.ndarray:
-        """Operator realization at a fixed intercept (noise-free evaluation);
-        the scalar form of :meth:`operator_rows`, bitwise equal to it."""
-        p = self.params
-        b = p.demand_slope
-        margin = a - b * x.sum()
-        if margin > 0.0:
-            price = margin / (1.0 + b * self._wsum)
-            shrink = self._shrink
-        else:
-            price = margin
-            shrink = self._shrink if margin == 0.0 else 0.0
-        return (p.leader_costs + (1.0 + shrink) * b) * x - price
+        """Operator realization at a fixed intercept (noise-free evaluation)."""
+        return self.operator_rows(x, a)
 
-    def _price(self, X, a):
-        """Row-wise (price, dY/dX) at leader aggregates X and intercepts a."""
-        b = self.params.demand_slope
-        margin = a - b * X
-        price = np.where(margin > 0.0, margin / (1.0 + b * self._wsum), margin)
+    def _price(self, margin):
+        """Row-wise (price, dY/dX) at demand margins a - b X."""
+        price = np.where(margin > 0.0, margin / self._denom, margin)
         return price, np.where(margin >= 0.0, self._shrink, 0.0)
 
     def draw_noise(self, stream, shape):
@@ -179,15 +166,24 @@ class MlmfCournotGame(GameOracle):
         return stream.uniform(self.params.a_lo, self.params.a_hi, shape)
 
     def operator_rows(self, z, noise):
-        price, dY = self._price(z.sum(axis=-1), noise)
-        # Same association as operator_value, so the two are bitwise equal.
-        coef = self.params.leader_costs + (1.0 + dY)[..., None] * self.params.demand_slope
+        b = self.params.demand_slope
+        margin = noise - b * z.sum(axis=-1)
+        if margin.ndim == 0:
+            # One point under one intercept, as the solvers step: a branch
+            # on the follower case costs a third of the row-wise form below,
+            # and computes the same bits.
+            if margin > 0.0:
+                return self._coef_active * z - margin / self._denom
+            coef = self._coef_active if margin == 0.0 else self._coef_inactive
+            return coef * z - margin
+        price, dY = self._price(margin)
+        coef = self.params.leader_costs + (1.0 + dY)[..., None] * b
         return coef * z - price[..., None]
 
     def objective_rows(self, i, own, x, noise):
         own = own.reshape(-1)
         rivals = float(np.sum(x)) - float(x[i])
-        price, _ = self._price(rivals + own, noise)
+        price, _ = self._price(noise - self.params.demand_slope * (rivals + own))
         return -price * own + 0.5 * self.params.leader_costs[i] * own**2
 
 
@@ -211,17 +207,6 @@ class ConstrainedMlmfCournotGame(GameOracle):
     def _draw_w(self, stream: RandomStream, size=None):
         h = self.params.constraint_noise_halfwidth
         return stream.uniform(-h, h, size)
-
-    def operator_sample(self, z, stream):
-        p = self.params
-        n = p.n_leaders
-        z = np.asarray(z, dtype=float)
-        x, duals = z[:n], z[n:]
-        primal = self.inner.operator_sample(x, stream) + duals
-        h = p.constraint_noise_halfwidth
-        w = stream.generator.uniform(-h, h, n)
-        dual = (p.caps - x) - w
-        return np.concatenate([primal, dual])
 
     def draw_noise(self, stream, shape):
         """Per sample the intercept and then the n constraint noises, as an

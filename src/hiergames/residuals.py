@@ -32,16 +32,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games.base import GameOracle, NumericError
+from .games.base import GameOracle, NumericError, chunk_steps
 from .rng import RandomStream
 from .solvers.smoothing import SmoothingParams, zsol_solve
 
-# Noise pre-drawn per lane and chunk, counted as steps x samples x dim: a
-# chunk runs max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim)) steps.
-NOISE_CHUNK_VALUES = 4096
 # Lanes per resolvent_lanes call of a points-form Yosida residual, in whole
-# points (at least one): with the chunk above this bounds the memory held
-# however many points are measured together; 31 points x 3 repeats take one call.
+# points (at least one): with the per-lane noise chunk (``chunk_steps``) this
+# bounds the memory held however many points are measured together; 31
+# points x 3 repeats take one call.
 MAX_LANES = 128
 
 
@@ -90,11 +88,6 @@ def _corrected_norm(x: np.ndarray, estimates: np.ndarray, lam: float) -> float:
     if r > 1:
         gap2 -= float(np.sum(estimates.var(axis=0, ddof=1))) / r
     return math.sqrt(max(0.0, gap2)) / lam
-
-
-def chunk_steps(samples_per_step: int, dim: int) -> int:
-    """Steps per pre-drawn noise chunk (see ``NOISE_CHUNK_VALUES``)."""
-    return max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim))
 
 
 def resolvent_lanes(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..games.base import GameOracle, NumericError
+from ..games.base import GameOracle, NumericError, chunk_steps
 from ..report import RunReport
 from ..rng import RandomStream
 
@@ -39,6 +39,9 @@ def run(
 ) -> RunReport:
     """x_{k+1} = proj(x_k - alpha_k v_k), alpha_k = alpha0 / sqrt(k).
 
+    v_k is one ``operator_rows`` call on noise that ``draw_noise`` pre-draws
+    from ``stream`` in chunks (``chunk_steps``), as in the resolvent loop.
+
     The constrained market variant needs no special casing: its oracle
     exposes the stacked primal-dual vector and the nonnegative orthant of
     doubled dimension, so the same projected update covers both blocks.
@@ -48,15 +51,17 @@ def run(
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
     report.record(0, x, 0)
-    alpha0 = config.alpha0
+    alpha0, total = config.alpha0, config.total_iters
     project = game.feasible.project
-    sample = game.operator_sample
-    for k in range(1, config.total_iters + 1):
-        v = sample(x, stream)
-        x = project(x - (alpha0 / math.sqrt(k)) * v)
-        if not math.isfinite(x.sum()):
-            raise NumericError(f"subgradient iterate became non-finite at step {k}")
-        if k % config.record_every == 0 or k == config.total_iters:
-            report.record(k, x, k)
+    rows = game.operator_rows
+    chunk = chunk_steps(1, x.size)
+    for start in range(0, total, chunk):
+        noise = game.draw_noise(stream, (min(chunk, total - start), 1))
+        for k, xi in enumerate(noise[:, 0], start + 1):
+            x = project(x - (alpha0 / math.sqrt(k)) * rows(x, xi))
+            if not math.isfinite(x.sum()):
+                raise NumericError(f"subgradient iterate became non-finite at step {k}")
+            if k % config.record_every == 0 or k == total:
+                report.record(k, x, k)
     report.validate()
     return report

@@ -60,9 +60,8 @@ class SmoothingParams:
 @dataclass(frozen=True)
 class ArspbrConfig:
     outer_iters: int
-    relaxation: str = "constant"   # "constant" or "power" (k^-exponent)
-    gamma: float = 1.0
-    exponent: float = 0.51
+    # gamma_k = 1 (unrelaxed) for "constant", min(1, k^-0.51) for "power"
+    relaxation: str = "constant"
     record_every: int = 1
 
     def __post_init__(self):
@@ -70,17 +69,13 @@ class ArspbrConfig:
             raise ValueError("outer_iters must be >= 0")
         if self.relaxation not in ("constant", "power"):
             raise ValueError("relaxation must be 'constant' or 'power'")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
     def gamma_at(self, k: int) -> float:
         if self.relaxation == "constant":
-            return self.gamma
-        return min(1.0, float(k) ** -self.exponent)
+            return 1.0
+        return min(1.0, float(k) ** -0.51)
 
 
 def zsol_contraction_factor(strong_convexity: float, smoothness: float, zeta: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..games.base import GameOracle, NumericError
+from ..games.base import GameOracle, NumericError, chunk_steps
 from ..report import RunReport
 from ..rng import RandomStream
 
@@ -101,23 +101,28 @@ def inner_resolvent(
     """Inexact evaluation of the resolvent (I + lam T)^{-1} at ``x_k``.
 
     Runs ``n_steps`` projected SA updates z <- proj(z - (theta/j) u) with
-    u = v + (z - x_k)/lam and v a fresh operator sample at z.  The Yosida
-    residual runs the same recursion over lanes of mini-batches, one lane
-    per repeat and point, each with its own centre
-    (``residuals.resolvent_lanes``); this scalar loop is the solver's.
+    u = v + (z - x_k)/lam and v a fresh operator sample at z, evaluated by
+    ``operator_rows`` on noise pre-drawn from ``stream`` in chunks, which
+    replays a sample-at-a-time loop's draws.  The Yosida residual runs the
+    same recursion over lanes of mini-batches, one lane per repeat and
+    point, each with its own centre (``residuals.resolvent_lanes``); this
+    one-lane loop is the solver's.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x_k = np.asarray(x_k, dtype=float)
     z = x_k.copy()
     project = game.feasible.project
-    for j in range(1, n_steps + 1):
-        v = game.operator_sample(z, stream)
-        u = v + (z - x_k) / lam
-        z = project(z - (theta / j) * u)
-        # A non-finite entry makes the sum non-finite (inf +/- inf is nan).
-        if not math.isfinite(z.sum()):
-            raise NumericError(f"inner SA produced a non-finite iterate at step {j}")
+    rows = game.operator_rows
+    chunk = chunk_steps(1, z.size)
+    for start in range(0, n_steps, chunk):
+        noise = game.draw_noise(stream, (min(chunk, n_steps - start), 1))
+        for j, xi in enumerate(noise[:, 0], start + 1):
+            u = rows(z, xi) + (z - x_k) / lam
+            z = project(z - (theta / j) * u)
+            # A non-finite entry makes the sum non-finite (inf +/- inf is nan).
+            if not math.isfinite(z.sum()):
+                raise NumericError(f"inner SA produced a non-finite iterate at step {j}")
     return z
 
 

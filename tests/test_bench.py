@@ -308,6 +308,22 @@ def test_unmapped_exception_propagates(tmp_path, monkeypatch):
         main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--spec", "x.json", "--out", "o", "--seed", "abc"],
+    ["run", "--spec", "x.json"],
+    ["bogus"],
+], ids=["bad-seed", "missing-options", "unknown-command"])
+def test_usage_error_is_a_validation_error(argv):
+    code, err = _cli(argv)
+    assert code == 1
+    assert err.count("validation error:") == 1 and "Traceback" not in err, err
+
+
+def test_help_exits_zero():
+    assert _cli(["--help"])[0] == 0
+    assert _cli(["run", "--help"])[0] == 0
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_run_rejects_jobs_below_one(tmp_path, jobs):
     spec_path = tmp_path / "exp.json"
@@ -599,7 +615,10 @@ def _mutated(spec, path, value):
 def _cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # the parser exits on usage errors and --help
+            code = stop.code
     return code, err.getvalue()
 
 

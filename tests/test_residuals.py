@@ -6,9 +6,10 @@ import pytest
 
 from hiergames import NumericError, RandomStream
 from hiergames import residuals
+from hiergames.games.base import chunk_steps
 from hiergames.games.bilevel import BilevelGame, direct_equilibrium
 from hiergames.games.cournot import ConstrainedMlmfCournotGame, MlmfCournotGame
-from hiergames.residuals import ResidualConfig, br_residual, chunk_steps, yosida_residual
+from hiergames.residuals import ResidualConfig, br_residual, yosida_residual
 from hiergames.solvers.smoothing import SmoothingParams, zsol_solve
 
 from conftest import (

@@ -26,8 +26,6 @@ def test_params_validation():
         SmoothingParams(steps_rule="weekly")
     with pytest.raises(ValueError):
         ArspbrConfig(outer_iters=10, relaxation="linear")
-    with pytest.raises(ValueError):
-        ArspbrConfig(outer_iters=10, gamma=0.0)
 
 
 def test_inner_batch_schedule_values():
@@ -195,7 +193,7 @@ def test_arspbr_unrelaxed_step_is_best_response():
     x0 = np.array([0.2, 0.4, 0.6])
     solve = RandomStream(38).derive("solve")
     probe = solve.clone()
-    cfg = ArspbrConfig(outer_iters=1, relaxation="constant", gamma=1.0)
+    cfg = ArspbrConfig(outer_iters=1, relaxation="constant")
     rep = arspbr_run(game, sp, cfg, x0, solve)
     i_k = probe.choice_index(np.full(3, 1 / 3))
     manual = zsol_solve(game, sp, i_k, x0, 5, probe.derive(1))
