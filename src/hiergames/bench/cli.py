@@ -66,7 +66,7 @@ def cmd_run(args) -> int:
     print(markdown_table(aggregates), end="")
     failed = [r for r in rows if math.isnan(r.residual)]
     for r in failed:
-        print(f"runtime error: run {r.sweep_key}/seed={r.seed} failed (non-finite iterate)",
+        print(f"runtime error: run {r.sweep_key}/seed={r.seed} failed: {r.failure}",
               file=sys.stderr)
     return EXIT_RUNTIME if failed else EXIT_OK
 

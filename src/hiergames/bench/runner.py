@@ -41,6 +41,7 @@ class RunRow:
     residual_stderr: float
     samples_cum: int
     wall_ms: float
+    failure: str = ""  # why a failed run (iter -1) stopped; not a CSV column
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,12 @@ def _run_job(args) -> tuple[list[RunRow], RunReport | None, float]:
     spec, sweep_key, seed, root_seed = args
     try:
         return run_single(spec, sweep_key, seed, root_seed)
-    except NumericError:
+    except NumericError as err:
         # Mark the run failed (NaN residual at iteration -1) instead of
-        # aborting the sweep; the CLI turns any failed row into exit code 2.
-        return [RunRow(sweep_key, seed, -1, float("nan"), float("nan"), 0, 0.0)], None, float("nan")
+        # aborting the sweep; the CLI reports any failed row with its
+        # message and exits with code 2.
+        row = RunRow(sweep_key, seed, -1, float("nan"), float("nan"), 0, 0.0, str(err))
+        return [row], None, float("nan")
 
 
 def run_experiment(

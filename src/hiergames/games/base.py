@@ -25,6 +25,7 @@ from ..rng import RandomStream
 
 # Noise pre-drawn per loop (or lane) and chunk, counted as steps x samples x
 # dim: a chunk runs max(1, NOISE_CHUNK_VALUES // (samples_per_step * dim)) steps.
+# The solver loops also check their iterate once per chunk (see FeasibleSet).
 NOISE_CHUNK_VALUES = 4096
 
 
@@ -73,7 +74,13 @@ class FeasibleSet:
     """Coordinate-separable feasible set: whole space, orthant, or box.
 
     ``lo``/``hi`` are per-coordinate bounds with ``-inf``/``inf`` for free
-    directions, so Euclidean projection is a clip.
+    directions, so Euclidean projection is a clip.  ``project`` rejects NaN
+    and then calls ``clip``, which does not look at its input.  The solver
+    loops step with ``clip`` and check their iterate once per noise chunk:
+    a projected coordinate that is NaN stays NaN, and one that is ``±inf``
+    lies on a side whose bound is infinite, where the next update keeps it
+    ``±inf`` or makes it NaN, so a chunk that goes non-finite ends
+    non-finite.
     """
 
     lo: np.ndarray
@@ -119,6 +126,11 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise NumericError("cannot project NaN")
+        return self.clip(x)
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection of a float array, unchecked: NaN passes
+        through."""
         kind = self._kind
         if kind == "nonneg":
             return np.maximum(x, 0.0)

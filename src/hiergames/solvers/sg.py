@@ -26,10 +26,6 @@ class SgConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
-    def step(self, k: int) -> float:
-        # k starts at 1 so the first steplength is alpha0.
-        return self.alpha0 / np.sqrt(k)
-
 
 def run(
     game: GameOracle,
@@ -40,7 +36,10 @@ def run(
     """x_{k+1} = proj(x_k - alpha_k v_k), alpha_k = alpha0 / sqrt(k).
 
     v_k is one ``operator_rows`` call on noise that ``draw_noise`` pre-draws
-    from ``stream`` in chunks (``chunk_steps``), as in the resolvent loop.
+    from ``stream`` in chunks (``chunk_steps``).  As in the resolvent loop
+    (``vr_spp.inner_resolvent``), the iterate is checked once per chunk,
+    and a chunk that ends non-finite is replayed with a check per step to
+    name the first bad step.
 
     The constrained market variant needs no special casing: its oracle
     exposes the stacked primal-dual vector and the nonnegative orthant of
@@ -51,17 +50,26 @@ def run(
         raise ValueError("x0 must lie in the feasible set")
     report = RunReport()
     report.record(0, x, 0)
-    alpha0, total = config.alpha0, config.total_iters
-    project = game.feasible.project
+    alpha0, total, every = config.alpha0, config.total_iters, config.record_every
     rows = game.operator_rows
+
+    def steps(x, noise, first, project, checked):
+        for k, xi in enumerate(noise, first):
+            x = project(x - (alpha0 / math.sqrt(k)) * rows(x, xi))
+            if checked and not math.isfinite(x.sum()):
+                raise NumericError(f"subgradient iterate became non-finite at step {k}")
+            if k % every == 0 or k == total:
+                report.record(k, x, k)
+        return x
+
+    feasible = game.feasible
     chunk = chunk_steps(1, x.size)
     for start in range(0, total, chunk):
-        noise = game.draw_noise(stream, (min(chunk, total - start), 1))
-        for k, xi in enumerate(noise[:, 0], start + 1):
-            x = project(x - (alpha0 / math.sqrt(k)) * rows(x, xi))
-            if not math.isfinite(x.sum()):
-                raise NumericError(f"subgradient iterate became non-finite at step {k}")
-            if k % config.record_every == 0 or k == total:
-                report.record(k, x, k)
+        noise = game.draw_noise(stream, (min(chunk, total - start), 1))[:, 0]
+        with np.errstate(all="ignore"):  # the replay warns as each step did
+            x_start, x = x, steps(x, noise, start + 1, feasible.clip, False)
+        if not math.isfinite(x.sum()):
+            # raises, so the iterates this chunk recorded go with the report
+            steps(x_start, noise, start + 1, feasible.project, True)
     report.validate()
     return report

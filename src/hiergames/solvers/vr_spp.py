@@ -107,22 +107,40 @@ def inner_resolvent(
     same recursion over lanes of mini-batches, one lane per repeat and
     point, each with its own centre (``residuals.resolvent_lanes``); this
     one-lane loop is the solver's.
+
+    A chunk steps through ``FeasibleSet.clip`` with numpy's floating-point
+    warnings off, and its last iterate is checked once.  If it is not
+    finite, the chunk is replayed from its first iterate through
+    ``project`` with a check per step and the caller's warning settings;
+    the replay computes the same iterates, so it raises the
+    ``NumericError`` that names the first bad step.  A non-finite
+    coordinate lasts to the chunk's end (see ``FeasibleSet``); an iterate
+    whose coordinates are finite but whose sum overflows is caught only if
+    the chunk ends with one.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x_k = np.asarray(x_k, dtype=float)
-    z = x_k.copy()
-    project = game.feasible.project
     rows = game.operator_rows
-    chunk = chunk_steps(1, z.size)
-    for start in range(0, n_steps, chunk):
-        noise = game.draw_noise(stream, (min(chunk, n_steps - start), 1))
-        for j, xi in enumerate(noise[:, 0], start + 1):
+
+    def steps(z, noise, first, project, checked):
+        for j, xi in enumerate(noise, first):
             u = rows(z, xi) + (z - x_k) / lam
             z = project(z - (theta / j) * u)
             # A non-finite entry makes the sum non-finite (inf +/- inf is nan).
-            if not math.isfinite(z.sum()):
+            if checked and not math.isfinite(z.sum()):
                 raise NumericError(f"inner SA produced a non-finite iterate at step {j}")
+        return z
+
+    feasible = game.feasible
+    z = x_k.copy()
+    chunk = chunk_steps(1, z.size)
+    for start in range(0, n_steps, chunk):
+        noise = game.draw_noise(stream, (min(chunk, n_steps - start), 1))[:, 0]
+        with np.errstate(all="ignore"):  # the replay warns as each step did
+            z_start, z = z, steps(z, noise, start + 1, feasible.clip, False)
+        if not math.isfinite(z.sum()):
+            steps(z_start, noise, start + 1, feasible.project, True)  # raises
     return z
 
 

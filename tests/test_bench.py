@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -591,10 +592,22 @@ def test_numeric_failure_marks_row_and_exit_code(tmp_path):
     spec["seeds"] = [0]
     spec_path = tmp_path / "diverge.json"
     spec_path.write_text(json.dumps(spec))
-    code = main(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
+    code, err = _cli(["run", "--spec", str(spec_path), "--out", str(tmp_path / "o"), "--seed", "1"])
     assert code == 2
     rows = read_csv_rows(tmp_path / "o" / "runs.csv")
     assert any(np.isnan(r.residual) and r.iter == -1 for r in rows)
+    # the stderr line carries the solver's message, which names the step;
+    # from a worker pool too, where the message comes back pickled
+    line = re.compile(r"runtime error: run \S+/seed=(\d) failed: "
+                      r"subgradient iterate became non-finite at step \d+$", re.M)
+    assert [m.group(1) for m in line.finditer(err)] == ["0"]
+    spec["seeds"] = [0, 1]
+    spec_path.write_text(json.dumps(spec))
+    code, err2 = _cli(["run", "--spec", str(spec_path), "--out", str(tmp_path / "p"),
+                       "--seed", "1", "--jobs", "2"])
+    assert code == 2
+    assert [m.group(1) for m in line.finditer(err2)] == ["0", "1"]
+    assert line.search(err).group(0) in err2
 
 
 # ------------------------------------------------------- spec -> run contract

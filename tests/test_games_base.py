@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hiergames import (
@@ -41,10 +41,20 @@ def test_project_box_clamps():
     assert np.array_equal(fs.project(np.array([7.0, -3.0])), [5.0, 0.0])
 
 
+SETS = {
+    "free": FeasibleSet.free(3),
+    "nonneg": FeasibleSet.nonneg(3),
+    "box": FeasibleSet.box([-1.0, 0.0, -np.inf], [1.0, np.inf, 2.0]),
+}
+
+
 def test_project_rejects_nan():
-    fs = FeasibleSet.nonneg(2)
-    with pytest.raises(NumericError):
-        fs.project(np.array([np.nan, 1.0]))
+    # project refuses NaN; clip, its unchecked core, lets it through
+    x = np.array([np.nan, 1.0, -np.inf])
+    for fs in SETS.values():
+        with pytest.raises(NumericError):
+            fs.project(x)
+        assert np.isnan(fs.clip(x)[0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -54,6 +64,20 @@ def test_project_idempotent_and_inside(values):
     out = fs.project(np.array(values))
     assert fs.contains(out)
     assert np.array_equal(fs.project(out), out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SETS)),
+       st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=3, max_size=3))
+@example("free", [np.inf, -np.inf, -0.0])
+@example("nonneg", [np.inf, -np.inf, -0.0])
+@example("box", [np.inf, -np.inf, -0.0])
+def test_clip_equals_project_bitwise(kind, values):
+    fs = SETS[kind]
+    x = np.array(values)
+    got, want = fs.clip(x), fs.project(x)
+    assert got.tobytes() == want.tobytes()
+    assert got is not x
 
 
 def test_restrict_projects_player_block():
